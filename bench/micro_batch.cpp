@@ -72,7 +72,7 @@ std::vector<core::ScenarioSpec> make_fleet(unsigned max_users) {
                      std::to_string(tier);
         spec.network = vins_shape_network(cores_of[tier], think);
         spec.demands = core::DemandModel::constant(std::move(d));
-        spec.options.solver = core::SolverKind::kExactMultiserver;
+        spec.options.solver = core::SolverKind::kMvasd;
         spec.options.max_population = max_users;
         fleet.push_back(std::move(spec));
       }

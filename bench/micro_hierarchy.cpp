@@ -135,8 +135,7 @@ int main() {
   // dashboard without the hierarchical layer would run).
   std::vector<core::ScenarioSpec> flat_fleet = fleet;
   for (auto& spec : flat_fleet) {
-    spec.options = core::SolveOptions{core::SolverKind::kExactMultiserver,
-                                      kMaxPopulation};
+    spec.options = core::SolveOptions{core::SolverKind::kMvasd, kMaxPopulation};
   }
   double flat_x_top = 0.0;
   const double flat_ms = time_ms([&] {
@@ -171,10 +170,9 @@ int main() {
   // Accuracy: hierarchical vs flat exact on the base mesh, every level.
   const core::ScenarioSpec& base = fleet.front();
   const auto hier = core::solve(base.network, &base.demands, base.options);
-  const auto exact = core::solve(base.network, &base.demands,
-                                 core::SolveOptions{
-                                     core::SolverKind::kExactMultiserver,
-                                     kMaxPopulation});
+  const auto exact =
+      core::solve(base.network, &base.demands,
+                  core::SolveOptions{core::SolverKind::kMvasd, kMaxPopulation});
   double parity_x = 0.0;
   double parity_r = 0.0;
   for (std::size_t i = 0; i < exact.levels(); ++i) {

@@ -1,8 +1,8 @@
 // Method-of-Moments multiclass solver vs the seed exact recursion.
 //
 // Part 1 — growing mixes: three customer classes over a cpu+disk pair,
-// per-class population doubling from 8 to 128.  The seed
-// exact_mva_multiclass walks the full population-vector lattice
+// per-class population doubling from 8 to 128.  The exact recursion
+// (exact_multiclass_series) walks the full population-vector lattice
 // (prod_c (N_c+1) states), so its cost explodes with the mix; MoM runs the
 // RECAL moment recursion whose state count depends only on the number of
 // queueing stations.  Both are exact, so every feasible mix doubles as a
@@ -109,20 +109,21 @@ int main() {
     const auto classes = make_mix(per_class);
     const int reps = per_class <= 32 ? 3 : 1;
 
-    core::MulticlassResult exact;
+    core::MvaResult exact;
     row.exact_ms = min_over_reps(
-        reps, [&] { exact = core::exact_mva_multiclass(network, classes); });
+        reps, [&] { exact = core::exact_multiclass_series(network, classes); });
+    const std::size_t top = exact.levels() - 1;
 
     core::MvaResult mom;
     row.mom_ms = min_over_reps(reps, [&] { mom = solve_mom(network, classes); });
 
     for (std::size_t c = 0; c < classes.size(); ++c) {
-      const double x_exact = exact.class_throughput[c];
+      const double x_exact = exact.class_x(top, c);
       const double x_mom = mom.class_x(0, c);
       const double rel =
           std::abs(x_mom - x_exact) / std::max(1.0, std::abs(x_exact));
       row.max_rel_delta = std::max(row.max_rel_delta, rel);
-      const double r_exact = exact.class_response_time[c];
+      const double r_exact = exact.class_r(top, c);
       const double r_mom = mom.class_r(0, c);
       row.max_rel_delta =
           std::max(row.max_rel_delta,
@@ -139,7 +140,7 @@ int main() {
     const auto classes = make_mix(row.per_class);
     bool exact_refused = false;
     try {
-      (void)core::exact_mva_multiclass(network, classes);
+      (void)core::exact_multiclass_series(network, classes);
     } catch (const Error&) {
       exact_refused = true;
     }

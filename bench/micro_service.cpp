@@ -62,7 +62,7 @@ std::vector<core::ScenarioSpec> make_fleet(unsigned max_users) {
                    std::to_string(cpu_step);
       spec.network = vins_shape_network(16);
       spec.demands = core::DemandModel::constant(std::move(d));
-      spec.options.solver = core::SolverKind::kExactMultiserver;
+      spec.options.solver = core::SolverKind::kMvasd;
       spec.options.max_population = max_users;
       fleet.push_back(std::move(spec));
     }

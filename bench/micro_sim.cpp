@@ -1,9 +1,8 @@
 // Microbenchmarks of the discrete-event simulator (google-benchmark):
-// raw event throughput — closure adapter vs the typed engine it wraps —
-// and end-to-end closed-network simulation cost, single-run and
-// replicated.  After the google-benchmark pass, main() times the two
-// headline ratios directly (typed vs closure events/sec; parallel vs
-// sequential R=8 replication throughput), checks that parallel and
+// raw event throughput of the typed engine and end-to-end closed-network
+// simulation cost, single-run and replicated.  After the google-benchmark
+// pass, main() times the typed engine's events/sec and the parallel vs
+// sequential R=8 replication throughput directly, checks that parallel and
 // sequential replications merge to bit-identical results, and writes
 // bench_out/BENCH_sim.json.  The exit code gates only the determinism
 // parity — wall-clock ratios are recorded, not asserted (shared runners
@@ -21,29 +20,12 @@
 #include "sim/closed_network_sim.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/replicated.hpp"
-#include "sim/simulator.hpp"
-#include "sim/station.hpp"
 
 namespace {
 
 using namespace mtperf;
 
 constexpr int kEventsPerLoop = 10000;
-
-void BM_EventLoop(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator s;
-    int count = 0;
-    std::function<void()> tick = [&] {
-      if (++count < kEventsPerLoop) s.schedule(1.0, tick);
-    };
-    s.schedule(1.0, tick);
-    s.run_until(1e9);
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(state.iterations() * kEventsPerLoop);
-}
-BENCHMARK(BM_EventLoop);
 
 void BM_EventLoopTyped(benchmark::State& state) {
   for (auto _ : state) {
@@ -58,22 +40,6 @@ void BM_EventLoopTyped(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kEventsPerLoop);
 }
 BENCHMARK(BM_EventLoopTyped);
-
-void BM_StationPipeline(benchmark::State& state) {
-  const auto jobs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::Simulator s;
-    sim::MultiServerStation st(s, "cpu", 4);
-    int done = 0;
-    for (int i = 0; i < jobs; ++i) {
-      st.arrive(1.0, [&] { ++done; });
-    }
-    s.run_until(1e9);
-    benchmark::DoNotOptimize(done);
-  }
-  state.SetItemsProcessed(state.iterations() * jobs);
-}
-BENCHMARK(BM_StationPipeline)->Arg(1000)->Arg(10000);
 
 void BM_ClosedNetworkLevel(benchmark::State& state) {
   const auto users = static_cast<unsigned>(state.range(0));
@@ -163,15 +129,6 @@ int write_bench_json() {
 
   // Engine throughput: a self-rescheduling event chain — the pure
   // schedule/pop/dispatch cycle with no model work attached.
-  const double closure_ms = min_over_reps(kReps, [&] {
-    sim::Simulator s;
-    int count = 0;
-    std::function<void()> tick = [&] {
-      if (++count < kChainEvents) s.schedule(1.0, tick);
-    };
-    s.schedule(1.0, tick);
-    s.run_until(1e18);
-  });
   const double typed_ms = min_over_reps(kReps, [&] {
     sim::EventEngine eng;
     int count = 0;
@@ -180,7 +137,6 @@ int write_bench_json() {
       if (++count < kChainEvents) eng.schedule(1.0, sim::EventOp::kTick);
     });
   });
-  const double closure_eps = kChainEvents / (closure_ms / 1e3);
   const double typed_eps = kChainEvents / (typed_ms / 1e3);
 
   // End-to-end replicated JPetStore level: R = 8 sequential vs on a pool
@@ -212,13 +168,11 @@ int write_bench_json() {
   const double par_txn_per_s =
       static_cast<double>(par.merged.transactions) / (par_ms / 1e3);
 
-  const double typed_speedup = closure_ms / typed_ms;
   const double parallel_speedup = seq_ms / par_ms;
   const unsigned hw = std::thread::hardware_concurrency();
 
-  std::printf("\nevent engine: closure %.1f ms, typed %.1f ms "
-              "(%.0f vs %.0f events/s, %.2fx)\n",
-              closure_ms, typed_ms, closure_eps, typed_eps, typed_speedup);
+  std::printf("\nevent engine: %.1f ms (%.0f events/s)\n", typed_ms,
+              typed_eps);
   std::printf("replicated JPetStore level (R=8, N=70): sequential %.1f ms, "
               "pool(8) %.1f ms (%.2fx on %u hardware threads)\n",
               seq_ms, par_ms, parallel_speedup, hw);
@@ -235,9 +189,7 @@ int write_bench_json() {
                "{\n"
                "  \"benchmark\": \"sim_hot_path\",\n"
                "  \"chain_events\": %d,\n"
-               "  \"events_per_sec_closure\": %.0f,\n"
                "  \"events_per_sec_typed\": %.0f,\n"
-               "  \"typed_engine_speedup\": %.2f,\n"
                "  \"replications\": %u,\n"
                "  \"level_customers\": %u,\n"
                "  \"sequential_ms\": %.2f,\n"
@@ -249,7 +201,7 @@ int write_bench_json() {
                "  \"hardware_threads\": %u,\n"
                "  \"deterministic_across_pools\": %s\n"
                "}\n",
-               kChainEvents, closure_eps, typed_eps, typed_speedup,
+               kChainEvents, typed_eps,
                ro.replications, ro.base.customers, seq_ms, par_ms,
                seq_txn_per_s, par_txn_per_s, parallel_speedup, hw,
                deterministic ? "true" : "false");

@@ -11,9 +11,9 @@
 #include "apps/testbed.hpp"
 #include "apps/vins.hpp"
 #include "common/table.hpp"
-#include "core/mva_multiclass.hpp"
 #include "core/prediction.hpp"
 #include "core/seidmann.hpp"
+#include "core/solve.hpp"
 #include "workload/campaign.hpp"
 
 int main() {
@@ -44,16 +44,19 @@ int main() {
                     "X read (tx/s)", "R renew (s)", "R read (s)"});
   for (unsigned renew_users : {600u, 450u, 300u, 150u, 0u}) {
     const unsigned read_users = 600 - renew_users;
-    std::vector<core::CustomerClass> classes{
+    core::SolveOptions options;
+    options.solver = core::SolverKind::kSchweitzerMulticlass;
+    options.classes = {
         {"renew", renew_users, 1.0, t_renew.service_times, nullptr},
         {"read", read_users, 1.0, t_read.service_times, nullptr},
     };
-    const auto r = core::schweitzer_mva_multiclass(t_renew.network, classes);
+    core::finalize_multiclass_options(options);
+    const auto r = core::solve(t_renew.network, nullptr, options);
+    const std::size_t mix = r.levels() - 1;  // the full 600-user mix
     table.add_row({fmt(static_cast<long long>(renew_users)),
                    fmt(static_cast<long long>(read_users)),
-                   fmt(r.class_throughput[0], 1), fmt(r.class_throughput[1], 1),
-                   fmt(r.class_response_time[0], 3),
-                   fmt(r.class_response_time[1], 3)});
+                   fmt(r.class_x(mix, 0), 1), fmt(r.class_x(mix, 1), 1),
+                   fmt(r.class_r(mix, 0), 3), fmt(r.class_r(mix, 1), 3)});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(

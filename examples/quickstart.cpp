@@ -40,16 +40,15 @@ int main() {
   });
 
   // core::solve is the single entry point: pick a solver kind, hand it the
-  // network and a demand model, and ask for the population range.
+  // network and a demand model, and ask for the population range.  kMvasd
+  // runs Algorithm 2 on a constant model and Algorithm 3 on a varying one.
   const unsigned max_users = 400;
   core::SolveOptions options;
   options.max_population = max_users;
+  options.solver = core::SolverKind::kMvasd;
 
-  options.solver = core::SolverKind::kExactMultiserver;
   const core::MvaResult fixed =
       core::solve(network, core::DemandModel::constant(demands), options);
-
-  options.solver = core::SolverKind::kMvasd;
   const core::MvaResult adaptive = core::solve(network, varying, options);
 
   TextTable table("MVA (constant demands) vs MVASD (varying demands)");

@@ -44,7 +44,7 @@ int main() {
     spec.network =
         core::make_network(campaign.table.stations(), servers, think);
     spec.demands = core::DemandModel::constant(std::move(d));
-    spec.options.solver = core::SolverKind::kExactMultiserver;
+    spec.options.solver = core::SolverKind::kMvasd;
     spec.options.max_population = users;
     return spec;
   };

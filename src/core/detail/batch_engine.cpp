@@ -395,10 +395,10 @@ MTPERF_ISA_CLONES void update_level(const LevelView& v) {
 }  // namespace
 
 bool batchable_solver(SolverKind kind) {
-  // Both kinds dispatch to run_multiserver_mva — one recursion, so mixed
-  // demand axes (constant, concurrency splines, throughput splines) batch
+  // kMvasd dispatches to run_multiserver_mva for every demand axis, so
+  // mixed axes (constant, concurrency splines, throughput splines) batch
   // together as long as the station structure matches.
-  return kind == SolverKind::kExactMultiserver || kind == SolverKind::kMvasd;
+  return kind == SolverKind::kMvasd;
 }
 
 std::string batch_structure_key(const ClosedNetwork& network,

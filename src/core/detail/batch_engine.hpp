@@ -56,7 +56,7 @@ struct BatchLane {
 };
 
 /// True when `kind` runs the exact multi-server recursion the batched
-/// kernel implements (kExactMultiserver and kMvasd are the same recursion).
+/// kernel implements (kMvasd, Algorithms 2 and 3).
 bool batchable_solver(SolverKind kind);
 
 /// Grouping key: two specs may share a lockstep group iff their keys match

@@ -198,7 +198,7 @@ ScenarioSpec subnetwork_spec(const ClosedNetwork& network,
   // jobs circulating inside it and nothing else.
   spec.network = ClosedNetwork(std::move(stations), 0.0);
   spec.demands = subset_demands(demands, tier.stations);
-  spec.options.solver = SolverKind::kExactMultiserver;
+  spec.options.solver = SolverKind::kMvasd;
   spec.options.max_population = depth;
   return spec;
 }

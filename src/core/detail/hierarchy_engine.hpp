@@ -24,7 +24,7 @@
 //    the load-dependent station with alpha(j) = min(j, C), support C; a
 //    single server has support 1 and reduces to R = S (1 + Q)).
 //  * Memoized profiles.  Profile extraction is expressed as ordinary
-//    ScenarioSpecs (exact-multiserver, think 0) routed through a pluggable
+//    ScenarioSpecs (mvasd, think 0) routed through a pluggable
 //    evaluator; the scenario engine plugs its fingerprint cache in, so a
 //    batch that edits one tier recomputes one profile and reuses the rest.
 //

@@ -176,7 +176,7 @@ class PopulationIndex {
       MTPERF_REQUIRE(acc <= kMaxExactSpace / radix,
                      "population-vector space too large for exact "
                      "multi-class MVA; use mom-multiclass (constant demands) "
-                     "or schweitzer_mva_multiclass");
+                     "or schweitzer-multiclass");
       acc *= radix;
     }
     total_ = acc;
@@ -218,7 +218,7 @@ MvaResult exact_multiclass_engine(const ClosedNetwork& network,
   MTPERF_REQUIRE(index.total() <= kMaxExactSpace / k_count,
                  "population-vector space too large for exact multi-class "
                  "MVA; use mom-multiclass (constant demands) or "
-                 "schweitzer_mva_multiclass");
+                 "schweitzer-multiclass");
 
   MvaResult result;
   result.reset(station_names_of(network), n_axis);

@@ -1,17 +1,12 @@
 #include "core/mva_multiclass.hpp"
 
 #include <memory>
-#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
 #include "core/detail/multiclass_engine.hpp"
 
 namespace mtperf::core {
-
-double MulticlassResult::total_throughput() const {
-  return std::accumulate(class_throughput.begin(), class_throughput.end(), 0.0);
-}
 
 MulticlassGrid::MulticlassGrid(const ClosedNetwork& network,
                                const std::vector<CustomerClass>& classes,
@@ -96,54 +91,6 @@ MvaResult schweitzer_multiclass_series(const ClosedNetwork& network,
   }
   const MulticlassGrid local(network, classes, total);
   return detail::schweitzer_multiclass_engine(network, classes, options, local);
-}
-
-namespace {
-
-/// Final-mix row of a series result in the historical MulticlassResult
-/// shape.  The copies are plain loads of the engine's own values, so the
-/// wrappers are bit-identical to the facade path by construction.
-MulticlassResult to_legacy(const MvaResult& series) {
-  const std::size_t level = series.levels() - 1;
-  const std::size_t c_count = series.classes();
-  const std::size_t k_count = series.stations();
-  MulticlassResult out;
-  out.class_throughput.resize(c_count);
-  out.class_response_time.resize(c_count);
-  out.class_station_queue.assign(c_count, std::vector<double>(k_count, 0.0));
-  for (std::size_t c = 0; c < c_count; ++c) {
-    out.class_throughput[c] = series.class_x(level, c);
-    out.class_response_time[c] = series.class_r(level, c);
-    for (std::size_t k = 0; k < k_count; ++k) {
-      out.class_station_queue[c][k] = series.class_queue(level, c, k);
-    }
-  }
-  out.station_queue.resize(k_count);
-  out.station_utilization.resize(k_count);
-  for (std::size_t k = 0; k < k_count; ++k) {
-    out.station_queue[k] = series.queue(level, k);
-    out.station_utilization[k] = series.utilization(level, k);
-  }
-  out.iterations = series.mc_iterations;
-  out.converged = true;
-  return out;
-}
-
-}  // namespace
-
-MulticlassResult exact_mva_multiclass(
-    const ClosedNetwork& network, const std::vector<CustomerClass>& classes) {
-  return to_legacy(exact_multiclass_series(network, classes));
-}
-
-MulticlassResult schweitzer_mva_multiclass(
-    const ClosedNetwork& network, const std::vector<CustomerClass>& classes,
-    const MulticlassSchweitzerOptions& options) {
-  SchweitzerOptions series_options;
-  series_options.tolerance = options.tolerance;
-  series_options.max_iterations = options.max_iterations;
-  return to_legacy(
-      schweitzer_multiclass_series(network, classes, series_options));
 }
 
 }  // namespace mtperf::core

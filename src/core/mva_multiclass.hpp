@@ -57,29 +57,6 @@ struct CustomerClass {
   std::shared_ptr<const DemandModel> demand_model;  ///< optional, per class
 };
 
-/// Results at the full population mix (legacy shape, kept for the thin
-/// exact_mva_multiclass / schweitzer_mva_multiclass wrappers; the facade
-/// path returns the SoA MvaResult with its multiclass extension).
-struct MulticlassResult {
-  /// X_c — per-class system throughput.
-  std::vector<double> class_throughput;
-  /// R_c — per-class response time (sum of residence times).
-  std::vector<double> class_response_time;
-  /// Q_k — total mean queue length per station (all classes).
-  std::vector<double> station_queue;
-  /// U_k — total utilization per station.
-  std::vector<double> station_utilization;
-  /// Q_{c,k} — per-class mean queue length per station.
-  std::vector<std::vector<double>> class_station_queue;
-  /// Fixed-point iterations the Schweitzer solver needed (0 for exact).
-  unsigned iterations = 0;
-  /// Whether the solver converged.  Always true on results: exhaustion
-  /// throws mtperf::numeric_error instead of returning a bad iterate.
-  bool converged = true;
-
-  double total_throughput() const;
-};
-
 /// Pre-tabulated per-class demand rows for one multiclass solve: one
 /// DemandGrid per class, each indexed by the mix's *total* population
 /// 1..max_population().  Owns copies of the class demand models (grids
@@ -155,21 +132,5 @@ MvaResult mom_multiclass(const ClosedNetwork& network,
 MvaResult schweitzer_multiclass_series(
     const ClosedNetwork& network, const std::vector<CustomerClass>& classes,
     const SchweitzerOptions& options = {}, const MulticlassGrid* grid = nullptr);
-
-struct MulticlassSchweitzerOptions {
-  double tolerance = 1e-10;
-  unsigned max_iterations = 20000;
-};
-
-/// Legacy entry point: thin wrapper over exact_multiclass_series returning
-/// the final-mix row in the historical MulticlassResult shape.  Results are
-/// bit-identical to the facade path (it *is* the facade path).
-MulticlassResult exact_mva_multiclass(const ClosedNetwork& network,
-                                      const std::vector<CustomerClass>& classes);
-
-/// Legacy entry point: thin wrapper over schweitzer_multiclass_series.
-MulticlassResult schweitzer_mva_multiclass(
-    const ClosedNetwork& network, const std::vector<CustomerClass>& classes,
-    const MulticlassSchweitzerOptions& options = {});
 
 }  // namespace mtperf::core

@@ -45,7 +45,7 @@ ScenarioSpec mva_fixed_scenario(std::string label,
   spec.network = network_from_table(table, think_time);
   spec.demands = DemandModel::constant(
       table.demands_at_concurrency(demand_source_concurrency));
-  spec.options.solver = SolverKind::kExactMultiserver;
+  spec.options.solver = SolverKind::kMvasd;
   spec.options.max_population = max_population;
   return spec;
 }

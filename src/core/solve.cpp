@@ -25,7 +25,6 @@ struct KindName {
 
 constexpr KindName kKindNames[] = {
     {SolverKind::kExactSingleServer, "exact"},
-    {SolverKind::kExactMultiserver, "exact-multiserver"},
     {SolverKind::kSchweitzer, "schweitzer"},
     {SolverKind::kApproxMultiserver, "approx-multiserver"},
     {SolverKind::kLoadDependent, "load-dependent"},
@@ -62,6 +61,9 @@ SolverKind parse_solver_kind(const std::string& name) {
   for (const auto& [kind, n] : kKindNames) {
     if (name == n) return kind;
   }
+  // Algorithm 2 is Algorithm 3 over constant demands; its historical name
+  // stays accepted as an alias.
+  if (name == "exact-multiserver") return SolverKind::kMvasd;
   throw invalid_argument_error("unknown solver kind: '" + name + "'");
 }
 
@@ -117,10 +119,6 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
   switch (options.solver) {
     case SolverKind::kExactSingleServer:
       return exact_mva(network, constant_demands(*demands, options.solver), n);
-    case SolverKind::kExactMultiserver:
-      // Algorithm 2; with a varying-demand model this is exactly
-      // Algorithm 3 (the same recursion over per-population demands).
-      return mvasd(network, *demands, n, grid);
     case SolverKind::kSchweitzer:
       return schweitzer_mva(network,
                             constant_demands(*demands, options.solver), n,
@@ -145,6 +143,8 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
           network, constant_demands(*demands, options.solver), rates, n);
     }
     case SolverKind::kMvasd:
+      // Algorithm 3; with a constant model this is exactly Algorithm 2
+      // (the same recursion over one demand row).
       return mvasd(network, *demands, n, grid);
     case SolverKind::kMvasdSingleServer:
       return mvasd_single_server(network, *demands, n, grid);

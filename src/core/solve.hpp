@@ -36,11 +36,10 @@ struct ScenarioSpec;  // core/sweep.hpp
 /// Which member of the MVA family evaluates the scenario.
 enum class SolverKind {
   kExactSingleServer,   ///< Algorithm 1 (exact_mva) — constant demands
-  kExactMultiserver,    ///< Algorithm 2 (exact_multiserver_mva)
   kSchweitzer,          ///< Eq. 9 fixed point (schweitzer_mva) — constant
   kApproxMultiserver,   ///< approx_multiserver_mva / approx_mvasd
   kLoadDependent,       ///< full marginal recursion (load_dependent_mva)
-  kMvasd,               ///< Algorithm 3 (mvasd) — varying demands
+  kMvasd,               ///< Algorithms 2 and 3 (mvasd) — any demands
   kMvasdSingleServer,   ///< Fig. 8 baseline (mvasd_single_server)
   kSeidmann,            ///< Seidmann transform + exact recursion — constant
   kSeidmannSchweitzer,  ///< Seidmann transform + Schweitzer — constant
@@ -58,12 +57,12 @@ inline bool is_multiclass(SolverKind kind) noexcept {
          kind == SolverKind::kSchweitzerMulticlass;
 }
 
-/// Stable lower-case identifier ("mvasd", "exact-multiserver", ...) used by
-/// the CLI, the serve tool's JSON protocol, and error messages.
+/// Stable lower-case identifier ("mvasd", "schweitzer", ...) used by the
+/// CLI, the serve tool's JSON protocol, and error messages.
 const char* solver_kind_name(SolverKind kind);
 
-/// Inverse of solver_kind_name; throws mtperf::invalid_argument_error for
-/// unknown names.
+/// Inverse of solver_kind_name, plus the alias "exact-multiserver" for
+/// kMvasd; throws mtperf::invalid_argument_error for unknown names.
 SolverKind parse_solver_kind(const std::string& name);
 
 /// One aggregation unit of the hierarchical solver (kHierarchical): the
@@ -147,14 +146,14 @@ void finalize_multiclass_options(SolveOptions& options);
 /// Solvers without a varying-demand variant (kExactSingleServer,
 /// kSchweitzer, kLoadDependent, kSeidmann*) require a constant model
 /// (DemandModel::constant); kApproxMultiserver dispatches to approx_mvasd
-/// for non-constant models, and the exact multi-server kinds accept any
+/// for non-constant models, and kMvasd / kMvasdSingleServer accept any
 /// model (Algorithm 3 *is* Algorithm 2 with demand arrays).
 /// All validation failures throw mtperf::invalid_argument_error.
 ///
 /// `grid` optionally supplies an already-tabulated DemandGrid for `demands`
 /// (tabulated to >= options.max_population).  Only the grid-driven kinds
-/// (kExactMultiserver, kMvasd, kMvasdSingleServer) use it; other solvers
-/// ignore it.  This is the scenario engine's deepen-reuse hook.
+/// (kMvasd, kMvasdSingleServer) use it; other solvers ignore it.  This is
+/// the scenario engine's deepen-reuse hook.
 ///
 /// Multiclass kinds read options.classes instead of `demands` (which may
 /// be null for them) and take their deepen-reuse hook via `class_grid` — a

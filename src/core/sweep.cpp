@@ -33,26 +33,4 @@ std::vector<LabeledResult> run_scenarios(
   return out;
 }
 
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-std::vector<LabeledResult> run_scenarios(std::vector<Scenario> scenarios,
-                                         ThreadPool* pool) {
-  std::vector<LabeledResult> out(scenarios.size());
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      out[i] = LabeledResult{scenarios[i].label, scenarios[i].run()};
-    }
-    return out;
-  }
-  parallel_for(*pool, scenarios.size(), [&](std::size_t i) {
-    out[i] = LabeledResult{scenarios[i].label, scenarios[i].run()};
-  });
-  return out;
-}
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
-
 }  // namespace mtperf::core

@@ -8,7 +8,6 @@
 // them (see service::Engine, which plugs in through ScenarioEvaluator).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -56,27 +55,5 @@ class ScenarioEvaluator {
 std::vector<LabeledResult> run_scenarios(
     const std::vector<ScenarioSpec>& scenarios, ThreadPool* pool = nullptr,
     ScenarioEvaluator* evaluator = nullptr);
-
-// --------------------------------------------------------------------------
-// Deprecated closure-based shim.  Out-of-tree callers that still build
-// Scenario{label, fn} lists keep compiling; new code should construct
-// ScenarioSpecs (or go through service::Engine for cached evaluation).
-
-struct [[deprecated("use ScenarioSpec with core::solve()/service::Engine")]]
-Scenario {
-  std::string label;
-  std::function<MvaResult()> run;
-};
-
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-[[deprecated("use the ScenarioSpec overload of run_scenarios")]]
-std::vector<LabeledResult> run_scenarios(std::vector<Scenario> scenarios,
-                                         ThreadPool* pool = nullptr);
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace mtperf::core

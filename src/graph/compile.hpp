@@ -55,8 +55,8 @@ CompiledNetwork compile(const ServiceGraph& graph);
 /// One-call convenience: compile and wrap as a ScenarioSpec, ready for
 /// core::solve / run_scenarios / service::Engine.  `options.solver` must
 /// accept the compiled demand model (constant graphs work with every
-/// solver kind; varying graphs need a grid-driven kind such as kMvasd or
-/// kExactMultiserver — core::solve validates as usual).
+/// solver kind; varying graphs need a grid-driven kind such as kMvasd —
+/// core::solve validates as usual).
 core::ScenarioSpec to_scenario(const ServiceGraph& graph, std::string label,
                                const core::SolveOptions& options);
 

@@ -42,7 +42,6 @@ struct CacheEntry {
 /// (throughput-axis models cannot be pre-tabulated).
 bool grid_cacheable(const core::ScenarioSpec& spec) {
   switch (spec.options.solver) {
-    case core::SolverKind::kExactMultiserver:
     case core::SolverKind::kMvasd:
     case core::SolverKind::kMvasdSingleServer:
       break;
@@ -303,8 +302,8 @@ Evaluation Engine::solve_miss(const core::ScenarioSpec& spec,
     // fingerprinted cache entry — a batch editing one tier re-solves one
     // profile and shares the rest.  The recursion is deadlock-free:
     // evaluate() holds no shard lock while solving, and a subnetwork spec
-    // (think 0, strict station subset, kExactMultiserver) can never alias
-    // the parent's fingerprint, so flight waits form a DAG.
+    // (think 0, strict station subset, kMvasd) can never alias the
+    // parent's kHierarchical fingerprint, so flight waits form a DAG.
     const core::detail::SubnetworkEvaluator sub =
         [this](const core::ScenarioSpec& inner) {
           Evaluation ev = evaluate(inner);

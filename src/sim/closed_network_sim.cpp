@@ -154,7 +154,7 @@ struct Run {
         ps_fire(ev.a, ev.payload);
         break;
       default:
-        break;  // kClosure/kTick are never scheduled by this runner
+        break;  // kTick is never scheduled by this runner
     }
   }
 

@@ -1,24 +1,16 @@
 // Allocation-free discrete-event core.
 //
-// The original Simulator stored one heap-allocated std::function per
-// scheduled event in a std::priority_queue — every event paid a closure
-// allocation, a virtual-ish indirect call, and (in run_until) a full
-// std::function copy off the heap top.  This engine replaces all of that
-// with a typed event record: a POD of (time, seq, op, two indices, one
-// payload double) kept in an index-based 4-ary heap over one reusable
-// vector.  Scheduling is a struct write plus a sift-up; dispatch is a
-// switch in the caller (the handler is a template parameter, so the event
-// loop inlines it — no std::function, no virtual call, no per-event
+// Every scheduled event is a typed record: a POD of (time, seq, op, two
+// indices, one payload double) kept in an index-based 4-ary heap over one
+// reusable vector.  Scheduling is a struct write plus a sift-up; dispatch
+// is a switch in the caller (the handler is a template parameter, so the
+// event loop inlines it — no std::function, no virtual call, no per-event
 // allocation once the arena has grown to the run's high-water mark).
 //
 // The 4-ary layout (children of i at 4i+1..4i+4) halves the tree depth of
 // a binary heap; sift-down does more comparisons per level but they hit
 // one or two cache lines, which is the right trade for the short-deadline
 // event mixes a closed queueing network generates.
-//
-// The legacy closure API survives in sim/simulator.hpp as a thin adapter
-// (op = kClosure indexing a slot arena), so station code and tests written
-// against `schedule(delay, lambda)` keep compiling unchanged.
 #pragma once
 
 #include <cstddef>
@@ -30,12 +22,10 @@
 
 namespace mtperf::sim {
 
-/// What a scheduled event means; dispatch is a switch on this tag.
-/// kClosure is reserved for the Simulator adapter's arena; the remaining
-/// ops belong to the typed closed-network runner.  kTick is a free op for
-/// microbenchmarks and tests driving the engine directly.
+/// What a scheduled event means; dispatch is a switch on this tag.  The
+/// first three ops belong to the closed-network runner; kTick is a free op
+/// for microbenchmarks and tests driving the engine directly.
 enum class EventOp : std::uint32_t {
-  kClosure = 0,    ///< a = slot in the adapter's closure arena
   kThinkDone,      ///< a = customer: think ended, start a transaction
   kDeparture,      ///< a = station, b = customer: FCFS service completed
   kPsFire,         ///< a = station, payload = generation token

@@ -180,9 +180,6 @@ TEST(BatchPlan, StructureKeySeparatesServerCountsAndKinds) {
        Station{"b", 1.0, 1, StationKind::kDelay}},
       1.0);
   EXPECT_NE(key(base), key(delayed));
-  EXPECT_NE(core::detail::batch_structure_key(base, SolverKind::kMvasd),
-            core::detail::batch_structure_key(
-                base, SolverKind::kExactMultiserver));
 }
 
 // ------------------------------------------------------------------ parity
@@ -249,7 +246,7 @@ TEST(BatchParity, ConstantDemandsAndMixedStructures) {
     std::vector<double> demands = vins_base_demands();
     for (double& d : demands) d *= 1.0 + 0.1 * static_cast<double>(i);
     spec.demands = DemandModel::constant(std::move(demands));
-    spec.options.solver = SolverKind::kExactMultiserver;
+    spec.options.solver = SolverKind::kMvasd;
     spec.options.max_population = 250;
     specs.push_back(std::move(spec));
   }

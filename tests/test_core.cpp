@@ -793,23 +793,5 @@ TEST(Sweep, PreservesOrderSequentialAndParallel) {
                    seq[0].result.throughput.back());
 }
 
-// The deprecated std::function form must keep working until removal.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-TEST(Sweep, LegacyScenarioShimStillRuns) {
-  const auto net = make_network({"a"}, {1}, 1.0);
-  std::vector<Scenario> scenarios{
-      {"one", [&] { return exact_mva(net, std::vector<double>{0.3}, 5); }}};
-  const auto out = run_scenarios(std::move(scenarios));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].label, "one");
-  EXPECT_EQ(out[0].result.levels(), 5u);
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 }  // namespace
 }  // namespace mtperf::core

@@ -201,7 +201,6 @@ TEST(Compile, VisitMathMatchesHandBuiltNetworkAcrossAllSolvers) {
 
   const core::SolverKind kinds[] = {
       core::SolverKind::kExactSingleServer,
-      core::SolverKind::kExactMultiserver,
       core::SolverKind::kSchweitzer,
       core::SolverKind::kApproxMultiserver,
       core::SolverKind::kLoadDependent,
@@ -273,7 +272,6 @@ void expect_solver_parity(const AppFixture& fix, unsigned max_population) {
   const core::SolverKind kinds[] = {
       core::SolverKind::kMvasd,
       core::SolverKind::kMvasdSingleServer,
-      core::SolverKind::kExactMultiserver,
       core::SolverKind::kApproxMultiserver,
   };
   for (const auto kind : kinds) {
@@ -321,8 +319,7 @@ void expect_two_tier_fes_parity(const workload::ApplicationModel& app,
     (k < half ? front : back).stations.push_back(k);
   }
 
-  const core::SolveOptions flat{core::SolverKind::kExactMultiserver,
-                                max_population};
+  const core::SolveOptions flat{core::SolverKind::kMvasd, max_population};
   core::SolveOptions hier{core::SolverKind::kHierarchical, max_population};
   hier.hierarchy.tiers = {front, back};
 
@@ -370,7 +367,7 @@ TEST(GraphParity, JPetStoreTwoTierFesStaysBoundedPastSaturation) {
   for (std::size_t k = 0; k < network.size(); ++k) {
     (k < half ? front : back).stations.push_back(k);
   }
-  const core::SolveOptions flat{core::SolverKind::kExactMultiserver, 200};
+  const core::SolveOptions flat{core::SolverKind::kMvasd, 200};
   core::SolveOptions hier{core::SolverKind::kHierarchical, 200};
   hier.hierarchy.tiers = {front, back};
   const auto exact = core::solve(network, &demands, flat);
@@ -466,7 +463,7 @@ TEST(ExampleMesh, VisitCountsSolveTheTrafficEquations) {
 
 TEST(ExampleMesh, SolvesThroughSolveBatchAndEngine) {
   const ServiceGraph mesh = example_mesh();
-  const core::SolveOptions options{core::SolverKind::kExactMultiserver, 50};
+  const core::SolveOptions options{core::SolverKind::kMvasd, 50};
   const core::ScenarioSpec spec = graph::to_scenario(mesh, "mesh", options);
   ASSERT_EQ(spec.network.size(), 12u);  // 11 services, index split in two
   const auto direct = core::solve(spec.network, &spec.demands, spec.options);
@@ -484,8 +481,7 @@ TEST(ExampleMesh, SolvesThroughSolveBatchAndEngine) {
 TEST(ExampleMesh, SimulatorAgreesWithAnalyticSolution) {
   const ServiceGraph mesh = example_mesh();
   constexpr unsigned kUsers = 30;
-  const core::SolveOptions options{core::SolverKind::kExactMultiserver,
-                                   kUsers};
+  const core::SolveOptions options{core::SolverKind::kMvasd, kUsers};
   const auto compiled = graph::compile(mesh);
   const auto analytic =
       core::solve(compiled.network, &compiled.demands, options);
@@ -552,7 +548,7 @@ TEST(Workmodel, JsonMeshMatchesProgrammaticGraph) {
   const core::ScenarioSpec from_json = service::workmodel_scenario(request);
   EXPECT_EQ(from_json.label, "mesh");
 
-  const core::SolveOptions options{core::SolverKind::kExactMultiserver, 50};
+  const core::SolveOptions options{core::SolverKind::kMvasd, 50};
   const core::ScenarioSpec programmatic =
       graph::to_scenario(example_mesh(), "mesh", options);
 

@@ -95,7 +95,7 @@ TEST(Hierarchical, MatchesFlatExactOnProductFormMesh) {
   const DemandModel demands = mesh_demands();
   const unsigned n_max = 120;
 
-  SolveOptions flat{SolverKind::kExactMultiserver, n_max};
+  SolveOptions flat{SolverKind::kMvasd, n_max};
   const auto exact = core::solve(network, &demands, flat);
 
   SolveOptions hier{SolverKind::kHierarchical, n_max};
@@ -128,7 +128,7 @@ TEST(Hierarchical, MatchesFlatExactOnProductFormMesh) {
 TEST(Hierarchical, AutomaticPartitionIsAlsoExact) {
   const ClosedNetwork network = mesh_network();
   const DemandModel demands = mesh_demands();
-  SolveOptions flat{SolverKind::kExactMultiserver, 80};
+  SolveOptions flat{SolverKind::kMvasd, 80};
   SolveOptions hier{SolverKind::kHierarchical, 80};  // tiers left empty
   const auto exact = core::solve(network, &demands, flat);
   const auto fes = core::solve(network, &demands, hier);
@@ -139,7 +139,7 @@ TEST(Hierarchical, AutomaticPartitionIsAlsoExact) {
 TEST(Hierarchical, TruncatedProfilesStayNearTheExactSolution) {
   const ClosedNetwork network = mesh_network();
   const DemandModel demands = mesh_demands();
-  SolveOptions flat{SolverKind::kExactMultiserver, 300};
+  SolveOptions flat{SolverKind::kMvasd, 300};
   SolveOptions hier{SolverKind::kHierarchical, 300};
   hier.hierarchy.tiers = mesh_tiers();
   hier.hierarchy.saturation_tolerance = 1e-4;
@@ -462,7 +462,7 @@ TEST(Workmodel, HierarchicalSolverParsesTiersAndOptions) {
 
   // The hierarchical solve of the workmodel tracks the flat exact solve.
   const auto fes = core::solve(spec.network, &spec.demands, spec.options);
-  SolveOptions flat{SolverKind::kExactMultiserver, 80};
+  SolveOptions flat{SolverKind::kMvasd, 80};
   const auto exact = core::solve(spec.network, &spec.demands, flat);
   EXPECT_LT(max_rel_diff(fes.throughput, exact.throughput), 1e-3);
   EXPECT_EQ(fes.station_names, exact.station_names);

@@ -26,12 +26,13 @@ TEST(Multiclass, SingleClassMatchesExactMva) {
   const auto net = two_station_net(1.0);
   const std::vector<double> demands{0.05, 0.12};
   const std::vector<CustomerClass> classes{{"only", 15, 1.0, demands}};
-  const auto mc = exact_mva_multiclass(net, classes);
+  const auto mc = exact_multiclass_series(net, classes);
   const auto sc = exact_mva(net, demands, 15);
-  EXPECT_NEAR(mc.class_throughput[0], sc.throughput.back(), 1e-10);
-  EXPECT_NEAR(mc.class_response_time[0], sc.response_time.back(), 1e-10);
+  const std::size_t top = mc.levels() - 1;
+  EXPECT_NEAR(mc.class_x(top, 0), sc.throughput.back(), 1e-10);
+  EXPECT_NEAR(mc.class_r(top, 0), sc.response_time.back(), 1e-10);
   for (std::size_t k = 0; k < 2; ++k) {
-    EXPECT_NEAR(mc.station_queue[k], sc.queue(sc.levels() - 1, k), 1e-10);
+    EXPECT_NEAR(mc.queue(top, k), sc.queue(sc.levels() - 1, k), 1e-10);
   }
 }
 
@@ -40,12 +41,12 @@ TEST(Multiclass, TwoIdenticalClassesEqualOneMergedClass) {
   const std::vector<double> demands{0.03, 0.08};
   const std::vector<CustomerClass> split{{"a", 6, 2.0, demands},
                                          {"b", 9, 2.0, demands}};
-  const auto mc = exact_mva_multiclass(net, split);
+  const auto mc = exact_multiclass_series(net, split);
   const auto merged = exact_mva(net, demands, 15);
-  EXPECT_NEAR(mc.total_throughput(), merged.throughput.back(), 1e-9);
+  const std::size_t top = mc.levels() - 1;
+  EXPECT_NEAR(mc.throughput[top], merged.throughput.back(), 1e-9);
   // Throughput shares proportional to populations (identical classes).
-  EXPECT_NEAR(mc.class_throughput[0] / mc.class_throughput[1], 6.0 / 9.0,
-              1e-9);
+  EXPECT_NEAR(mc.class_x(top, 0) / mc.class_x(top, 1), 6.0 / 9.0, 1e-9);
 }
 
 TEST(Multiclass, LittlesLawPerClass) {
@@ -54,10 +55,10 @@ TEST(Multiclass, LittlesLawPerClass) {
       {"renew", 8, 1.5, {0.05, 0.15}},
       {"read", 12, 1.5, {0.02, 0.01}},
   };
-  const auto r = exact_mva_multiclass(net, classes);
+  const auto r = exact_multiclass_series(net, classes);
+  const std::size_t top = r.levels() - 1;
   for (std::size_t c = 0; c < classes.size(); ++c) {
-    EXPECT_NEAR(r.class_throughput[c] *
-                    (r.class_response_time[c] + classes[c].think_time),
+    EXPECT_NEAR(r.class_x(top, c) * (r.class_r(top, c) + classes[c].think_time),
                 static_cast<double>(classes[c].population), 1e-9);
   }
 }
@@ -68,11 +69,12 @@ TEST(Multiclass, CustomersConserved) {
       {"a", 5, 1.0, {0.05, 0.15}},
       {"b", 7, 1.0, {0.02, 0.01}},
   };
-  const auto r = exact_mva_multiclass(net, classes);
+  const auto r = exact_multiclass_series(net, classes);
+  const std::size_t top = r.levels() - 1;
   double total = 0.0;
-  for (std::size_t k = 0; k < 2; ++k) total += r.station_queue[k];
+  for (std::size_t k = 0; k < 2; ++k) total += r.queue(top, k);
   for (std::size_t c = 0; c < 2; ++c) {
-    total += r.class_throughput[c] * classes[c].think_time;
+    total += r.class_x(top, c) * classes[c].think_time;
   }
   EXPECT_NEAR(total, 12.0, 1e-9);
 }
@@ -83,12 +85,13 @@ TEST(Multiclass, UtilizationsSumClassContributions) {
       {"a", 5, 1.0, {0.05, 0.15}},
       {"b", 7, 1.0, {0.02, 0.01}},
   };
-  const auto r = exact_mva_multiclass(net, classes);
+  const auto r = exact_multiclass_series(net, classes);
+  const std::size_t top = r.levels() - 1;
   for (std::size_t k = 0; k < 2; ++k) {
-    const double expected = r.class_throughput[0] * classes[0].demands[k] +
-                            r.class_throughput[1] * classes[1].demands[k];
-    EXPECT_NEAR(r.station_utilization[k], expected, 1e-12);
-    EXPECT_LE(r.station_utilization[k], 1.0 + 1e-9);
+    const double expected = r.class_x(top, 0) * classes[0].demands[k] +
+                            r.class_x(top, 1) * classes[1].demands[k];
+    EXPECT_NEAR(r.utilization(top, k), expected, 1e-12);
+    EXPECT_LE(r.utilization(top, k), 1.0 + 1e-9);
   }
 }
 
@@ -98,10 +101,11 @@ TEST(Multiclass, ZeroPopulationClassContributesNothing) {
       {"active", 10, 1.0, {0.05, 0.15}},
       {"idle", 0, 1.0, {0.5, 0.5}},
   };
-  const auto r = exact_mva_multiclass(net, classes);
-  EXPECT_DOUBLE_EQ(r.class_throughput[1], 0.0);
+  const auto r = exact_multiclass_series(net, classes);
+  const std::size_t top = r.levels() - 1;
+  EXPECT_DOUBLE_EQ(r.class_x(top, 1), 0.0);
   const auto single = exact_mva(net, std::vector<double>{0.05, 0.15}, 10);
-  EXPECT_NEAR(r.class_throughput[0], single.throughput.back(), 1e-10);
+  EXPECT_NEAR(r.class_x(top, 0), single.throughput.back(), 1e-10);
 }
 
 TEST(Multiclass, DelayStationsSupported) {
@@ -110,10 +114,11 @@ TEST(Multiclass, DelayStationsSupported) {
        Station{"lan", 1.0, 1, StationKind::kDelay}},
       1.0);
   const std::vector<CustomerClass> classes{{"a", 10, 1.0, {0.05, 0.2}}};
-  const auto r = exact_mva_multiclass(net, classes);
-  EXPECT_GT(r.class_throughput[0], 0.0);
+  const auto r = exact_multiclass_series(net, classes);
+  const std::size_t top = r.levels() - 1;
+  EXPECT_GT(r.class_x(top, 0), 0.0);
   // Delay residence is exactly the demand, independent of load.
-  EXPECT_GE(r.class_response_time[0], 0.2);
+  EXPECT_GE(r.class_r(top, 0), 0.2);
 }
 
 TEST(Multiclass, SchweitzerCloseToExact) {
@@ -122,13 +127,14 @@ TEST(Multiclass, SchweitzerCloseToExact) {
       {"a", 10, 1.0, {0.05, 0.15}},
       {"b", 20, 1.0, {0.02, 0.01}},
   };
-  const auto exact = exact_mva_multiclass(net, classes);
-  const auto approx = schweitzer_mva_multiclass(net, classes);
+  const auto exact = exact_multiclass_series(net, classes);
+  const auto approx = schweitzer_multiclass_series(net, classes);
+  const std::size_t top = exact.levels() - 1;
   for (std::size_t c = 0; c < classes.size(); ++c) {
     // Schweitzer's proportional estimate carries a few percent of error at
     // small per-class populations; 10% is the usual engineering envelope.
-    EXPECT_NEAR(approx.class_throughput[c], exact.class_throughput[c],
-                0.10 * exact.class_throughput[c])
+    EXPECT_NEAR(approx.class_x(top, c), exact.class_x(top, c),
+                0.10 * exact.class_x(top, c))
         << "class " << c;
   }
 }
@@ -139,10 +145,10 @@ TEST(Multiclass, SchweitzerLittlesLawHolds) {
       {"a", 40, 0.5, {0.02, 0.05}},
       {"b", 60, 0.5, {0.01, 0.002}},
   };
-  const auto r = schweitzer_mva_multiclass(net, classes);
+  const auto r = schweitzer_multiclass_series(net, classes);
+  const std::size_t top = r.levels() - 1;
   for (std::size_t c = 0; c < classes.size(); ++c) {
-    EXPECT_NEAR(r.class_throughput[c] *
-                    (r.class_response_time[c] + classes[c].think_time),
+    EXPECT_NEAR(r.class_x(top, c) * (r.class_r(top, c) + classes[c].think_time),
                 static_cast<double>(classes[c].population), 1e-6);
   }
 }
@@ -155,9 +161,12 @@ TEST(Multiclass, SchweitzerHandlesLargeMixesExactCannot) {
       {"b", 200, 1.0, {0.001, 0.006}},
       {"c", 200, 1.0, {0.002, 0.002}},
   };
-  const auto r = schweitzer_mva_multiclass(net, classes);
-  EXPECT_GT(r.total_throughput(), 0.0);
-  for (double u : r.station_utilization) EXPECT_LE(u, 1.0 + 1e-9);
+  const auto r = schweitzer_multiclass_series(net, classes);
+  const std::size_t top = r.levels() - 1;
+  EXPECT_GT(r.throughput[top], 0.0);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_LE(r.utilization(top, k), 1.0 + 1e-9);
+  }
 }
 
 
@@ -174,26 +183,26 @@ TEST(Multiclass, SeidmannTransformEnablesMultiServerMulticlass) {
   const auto t = seidmann_transform(net, demands);
   const std::vector<CustomerClass> classes{
       {"only", 60, 1.0, t.service_times}};
-  const auto mc = exact_mva_multiclass(t.network, classes);
+  const auto mc = exact_multiclass_series(t.network, classes);
   const auto exact = exact_multiserver_mva(net, demands, 60);
   const double e = exact.throughput.back();
-  EXPECT_NEAR(mc.class_throughput[0], e, 0.15 * e);  // Seidmann approximation
+  EXPECT_NEAR(mc.class_x(mc.levels() - 1, 0), e, 0.15 * e);  // Seidmann
 }
 
 TEST(Multiclass, RejectsMultiServerStations) {
   const auto net = make_network({"cpu"}, {4}, 1.0);
   const std::vector<CustomerClass> classes{{"a", 5, 1.0, {0.1}}};
-  EXPECT_THROW(exact_mva_multiclass(net, classes), invalid_argument_error);
+  EXPECT_THROW(exact_multiclass_series(net, classes), invalid_argument_error);
 }
 
 TEST(Multiclass, Validation) {
   const auto net = two_station_net(1.0);
-  EXPECT_THROW(exact_mva_multiclass(net, {}), invalid_argument_error);
-  EXPECT_THROW(exact_mva_multiclass(net, {{"a", 5, 1.0, {0.1}}}),
+  EXPECT_THROW(exact_multiclass_series(net, {}), invalid_argument_error);
+  EXPECT_THROW(exact_multiclass_series(net, {{"a", 5, 1.0, {0.1}}}),
                invalid_argument_error);  // demand width
-  EXPECT_THROW(exact_mva_multiclass(net, {{"a", 5, -1.0, {0.1, 0.1}}}),
+  EXPECT_THROW(exact_multiclass_series(net, {{"a", 5, -1.0, {0.1, 0.1}}}),
                invalid_argument_error);
-  EXPECT_THROW(exact_mva_multiclass(net, {{"a", 0, 1.0, {0.1, 0.1}}}),
+  EXPECT_THROW(exact_multiclass_series(net, {{"a", 0, 1.0, {0.1, 0.1}}}),
                invalid_argument_error);  // all-zero population
 }
 
@@ -204,7 +213,7 @@ TEST(Multiclass, ExactRejectsHugeStateSpace) {
       {"b", 4000, 1.0, {0.001, 0.001}},
       {"c", 4000, 1.0, {0.001, 0.001}},
   };
-  EXPECT_THROW(exact_mva_multiclass(net, classes), invalid_argument_error);
+  EXPECT_THROW(exact_multiclass_series(net, classes), invalid_argument_error);
 }
 
 TEST(Multiclass, StateSpaceOverflowIsRejectedNotWrapped) {
@@ -228,10 +237,12 @@ TEST(Multiclass, StateSpaceOverflowIsRejectedNotWrapped) {
   };
   for (const auto& classes : hostile) {
     try {
-      exact_mva_multiclass(net, classes);
+      exact_multiclass_series(net, classes);
       FAIL() << "overflowing population-vector space accepted";
     } catch (const invalid_argument_error& e) {
       EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("schweitzer-multiclass"),
+                std::string::npos);
     }
   }
 }
@@ -241,7 +252,7 @@ TEST(Multiclass, DemandDimensionMismatchNamesTheClass) {
   // the station count must be rejected by name before any solving starts.
   const auto net = two_station_net(1.0);
   try {
-    exact_mva_multiclass(net, {{"renew", 5, 1.0, {0.1, 0.2, 0.3}}});
+    exact_multiclass_series(net, {{"renew", 5, 1.0, {0.1, 0.2, 0.3}}});
     FAIL() << "mismatched demand width accepted";
   } catch (const invalid_argument_error& e) {
     const std::string what = e.what();
@@ -249,7 +260,7 @@ TEST(Multiclass, DemandDimensionMismatchNamesTheClass) {
     EXPECT_NE(what.find("one demand per station"), std::string::npos) << what;
   }
   EXPECT_THROW(
-      schweitzer_mva_multiclass(net, {{"renew", 5, 1.0, {0.1}}}),
+      schweitzer_multiclass_series(net, {{"renew", 5, 1.0, {0.1}}}),
       invalid_argument_error);
 }
 
@@ -262,58 +273,6 @@ SolveOptions multiclass_options(SolverKind kind,
   options.classes = std::move(classes);
   finalize_multiclass_options(options);
   return options;
-}
-
-TEST(MulticlassFacade, ExactWrapperIsBitIdenticalToSolve) {
-  const auto net = two_station_net(1.5);
-  const std::vector<CustomerClass> classes{
-      {"renew", 8, 1.5, {0.05, 0.15}},
-      {"read", 12, 1.5, {0.02, 0.01}},
-  };
-  const auto legacy = exact_mva_multiclass(net, classes);
-  const auto r = solve(
-      net, nullptr, multiclass_options(SolverKind::kExactMulticlass, classes));
-  ASSERT_EQ(r.levels(), 12u);
-  ASSERT_EQ(r.classes(), 2u);
-  const std::size_t top = r.levels() - 1;
-  for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(legacy.class_throughput[c], r.class_x(top, c));
-    EXPECT_EQ(legacy.class_response_time[c], r.class_r(top, c));
-    for (std::size_t k = 0; k < 2; ++k) {
-      EXPECT_EQ(legacy.class_station_queue[c][k], r.class_queue(top, c, k));
-    }
-  }
-  for (std::size_t k = 0; k < 2; ++k) {
-    EXPECT_EQ(legacy.station_queue[k], r.queue(top, k));
-    EXPECT_EQ(legacy.station_utilization[k], r.utilization(top, k));
-  }
-  EXPECT_EQ(legacy.total_throughput(), r.class_x(top, 0) + r.class_x(top, 1));
-  EXPECT_TRUE(legacy.converged);
-  EXPECT_EQ(legacy.iterations, 0u);
-}
-
-TEST(MulticlassFacade, SchweitzerWrapperIsBitIdenticalToSolve) {
-  const auto net = two_station_net(1.0);
-  const std::vector<CustomerClass> classes{
-      {"a", 10, 1.0, {0.05, 0.15}},
-      {"b", 20, 1.0, {0.02, 0.01}},
-  };
-  const auto legacy = schweitzer_mva_multiclass(net, classes);
-  auto options =
-      multiclass_options(SolverKind::kSchweitzerMulticlass, classes);
-  options.schweitzer.max_iterations = 20000;  // the legacy wrapper default
-  const auto r = solve(net, nullptr, options);
-  const std::size_t top = r.levels() - 1;
-  for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(legacy.class_throughput[c], r.class_x(top, c));
-    EXPECT_EQ(legacy.class_response_time[c], r.class_r(top, c));
-    for (std::size_t k = 0; k < 2; ++k) {
-      EXPECT_EQ(legacy.class_station_queue[c][k], r.class_queue(top, c, k));
-    }
-  }
-  EXPECT_TRUE(legacy.converged);
-  EXPECT_GT(legacy.iterations, 0u);
-  EXPECT_EQ(legacy.iterations, r.mc_iterations);
 }
 
 TEST(MulticlassFacade, SingleClassSpecIsBitIdenticalToMvasd) {
@@ -393,8 +352,8 @@ TEST(MulticlassFacade, ClassesAndKindMustAgree) {
 TEST(MulticlassFacade, DuplicateClassNamesRejected) {
   const auto net = two_station_net(1.0);
   try {
-    exact_mva_multiclass(net, {{"renew", 5, 1.0, {0.05, 0.12}},
-                               {"renew", 3, 1.0, {0.02, 0.01}}});
+    exact_multiclass_series(net, {{"renew", 5, 1.0, {0.05, 0.12}},
+                                  {"renew", 3, 1.0, {0.02, 0.01}}});
     FAIL() << "duplicate class name accepted";
   } catch (const invalid_argument_error& e) {
     EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos);
@@ -495,23 +454,24 @@ TEST(MulticlassMom, MatchesExactOnSmallMixes) {
       {{"solo", 15, 1.0, {0.05, 0.12}}},
   };
   for (const auto& classes : mixes) {
-    const auto exact = exact_mva_multiclass(net, classes);
+    const auto exact = exact_multiclass_series(net, classes);
+    const std::size_t top = exact.levels() - 1;
     const auto mom = mom_multiclass(net, classes);
     ASSERT_EQ(mom.levels(), 1u);
     EXPECT_EQ(mom.mc_axis, MvaResult::kNoAxis);
     for (std::size_t c = 0; c < classes.size(); ++c) {
-      EXPECT_NEAR(mom.class_x(0, c), exact.class_throughput[c], 1e-9)
+      EXPECT_NEAR(mom.class_x(0, c), exact.class_x(top, c), 1e-9)
           << "class " << c;
-      EXPECT_NEAR(mom.class_r(0, c), exact.class_response_time[c], 1e-9)
+      EXPECT_NEAR(mom.class_r(0, c), exact.class_r(top, c), 1e-9)
           << "class " << c;
       for (std::size_t k = 0; k < 2; ++k) {
-        EXPECT_NEAR(mom.class_queue(0, c, k), exact.class_station_queue[c][k],
+        EXPECT_NEAR(mom.class_queue(0, c, k), exact.class_queue(top, c, k),
                     1e-9);
       }
     }
     for (std::size_t k = 0; k < 2; ++k) {
-      EXPECT_NEAR(mom.queue(0, k), exact.station_queue[k], 1e-9);
-      EXPECT_NEAR(mom.utilization(0, k), exact.station_utilization[k], 1e-9);
+      EXPECT_NEAR(mom.queue(0, k), exact.queue(top, k), 1e-9);
+      EXPECT_NEAR(mom.utilization(0, k), exact.utilization(top, k), 1e-9);
     }
   }
 }
@@ -523,11 +483,12 @@ TEST(MulticlassMom, DelayStationsFoldIntoThinkTime) {
       1.0);
   const std::vector<CustomerClass> classes{{"a", 10, 1.0, {0.05, 0.2}},
                                            {"b", 6, 0.5, {0.02, 0.4}}};
-  const auto exact = exact_mva_multiclass(net, classes);
+  const auto exact = exact_multiclass_series(net, classes);
+  const std::size_t top = exact.levels() - 1;
   const auto mom = mom_multiclass(net, classes);
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_NEAR(mom.class_x(0, c), exact.class_throughput[c], 1e-9);
-    EXPECT_NEAR(mom.class_r(0, c), exact.class_response_time[c], 1e-9);
+    EXPECT_NEAR(mom.class_x(0, c), exact.class_x(top, c), 1e-9);
+    EXPECT_NEAR(mom.class_r(0, c), exact.class_r(top, c), 1e-9);
   }
 }
 
@@ -549,10 +510,12 @@ TEST(MulticlassMom, SolvesMixesBeyondTheExactGuard) {
       {"browse", 512, 2.0, {0.0010, 0.0005}},
   };
   try {
-    exact_mva_multiclass(net, classes);
+    exact_multiclass_series(net, classes);
     FAIL() << "exact recursion accepted an infeasible mix";
   } catch (const invalid_argument_error& e) {
     EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("schweitzer-multiclass"),
+              std::string::npos);
   }
   const auto r = solve(
       net, nullptr, multiclass_options(SolverKind::kMomMulticlass, classes));
@@ -573,9 +536,9 @@ TEST(MulticlassMom, SolvesMixesBeyondTheExactGuard) {
   EXPECT_NEAR(queued + thinking, 1536.0, 1e-5);
   // Schweitzer lands in the same neighborhood (sanity against a second,
   // independent solver).
-  const auto approx = schweitzer_mva_multiclass(net, classes);
+  const auto approx = schweitzer_multiclass_series(net, classes);
   for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_NEAR(approx.class_throughput[c], r.class_x(0, c),
+    EXPECT_NEAR(approx.class_x(approx.levels() - 1, c), r.class_x(0, c),
                 0.10 * r.class_x(0, c));
   }
 }
@@ -620,8 +583,8 @@ TEST(MulticlassSchweitzer, ZeroPopulationMixThrowsLikeExact) {
   // validation now.
   const auto net = two_station_net(1.0);
   const std::vector<CustomerClass> classes{{"a", 0, 1.0, {0.1, 0.1}}};
-  EXPECT_THROW(exact_mva_multiclass(net, classes), invalid_argument_error);
-  EXPECT_THROW(schweitzer_mva_multiclass(net, classes),
+  EXPECT_THROW(exact_multiclass_series(net, classes), invalid_argument_error);
+  EXPECT_THROW(schweitzer_multiclass_series(net, classes),
                invalid_argument_error);
 }
 
@@ -653,9 +616,6 @@ TEST(MulticlassSchweitzer, ReportsIterationsThroughFacadeAndWrapper) {
   options.schweitzer.max_iterations = 20000;
   const auto r = solve(net, nullptr, options);
   EXPECT_GT(r.mc_iterations, 0u);
-  const auto legacy = schweitzer_mva_multiclass(net, classes);
-  EXPECT_EQ(legacy.iterations, r.mc_iterations);
-  EXPECT_TRUE(legacy.converged);
 }
 
 }  // namespace

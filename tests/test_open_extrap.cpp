@@ -1,9 +1,8 @@
-// Tests for the open-network analysis, the extrapolation baselines, the
-// approximate multi-server MVA, and demand regression estimation.
+// Tests for the extrapolation baselines, the approximate multi-server MVA,
+// demand regression estimation, and interval MVA.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -13,189 +12,12 @@
 #include "core/mva_interval.hpp"
 #include "core/mva_multiserver.hpp"
 #include "core/network.hpp"
-#include "core/open_network.hpp"
 #include "interp/cubic_spline.hpp"
 #include "interp/piecewise_cubic.hpp"
 #include "ops/demand_estimation.hpp"
 
 namespace mtperf::core {
 namespace {
-
-// ---------------------------------------------------------------- Erlang C
-
-TEST(ErlangC, SingleServerEqualsRho) {
-  // M/M/1: P(wait) = rho.
-  for (double rho : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(erlang_c(1, rho), rho, 1e-12);
-  }
-}
-
-TEST(ErlangC, KnownTwoServerValue) {
-  // M/M/2 with a = 1 (rho = 0.5): C(2,1) = 1/3.
-  EXPECT_NEAR(erlang_c(2, 1.0), 1.0 / 3.0, 1e-12);
-}
-
-TEST(ErlangC, MonotoneInLoadAndServers) {
-  EXPECT_LT(erlang_c(4, 1.0), erlang_c(4, 3.0));
-  EXPECT_LT(erlang_c(8, 3.0), erlang_c(4, 3.0));
-  EXPECT_DOUBLE_EQ(erlang_c(4, 0.0), 0.0);
-}
-
-TEST(ErlangC, RejectsUnstableLoad) {
-  EXPECT_THROW(erlang_c(2, 2.0), invalid_argument_error);
-  EXPECT_THROW(erlang_c(2, 2.5), invalid_argument_error);
-}
-
-// ------------------------------------------------------------ open network
-
-TEST(OpenNetwork, MM1ResponseTimeClosedForm) {
-  // Single M/M/1 station: R = S / (1 - rho).
-  const auto net = make_network({"cpu"}, {1}, 0.0);
-  const std::vector<double> d{0.1};
-  const auto r = open_network_analysis(net, d, 5.0);  // rho = 0.5
-  ASSERT_TRUE(r.stable);
-  EXPECT_NEAR(r.response_time, 0.1 / 0.5, 1e-9);
-  EXPECT_NEAR(r.stations[0].utilization, 0.5, 1e-12);
-  EXPECT_NEAR(r.jobs_in_system, 5.0 * 0.2, 1e-9);  // L = lambda W = 1
-}
-
-TEST(OpenNetwork, MMCFasterThanMM1SameCapacity) {
-  // M/M/4 with demand S vs M/M/1 with demand S/4 (same capacity): the
-  // pooled single fast server wins on response time, but both stay stable
-  // to the same limit.
-  const auto net4 = make_network({"cpu"}, {4}, 0.0);
-  const auto net1 = make_network({"cpu"}, {1}, 0.0);
-  const double lambda = 30.0;
-  const auto r4 = open_network_analysis(net4, std::vector<double>{0.1}, lambda);
-  const auto r1 = open_network_analysis(net1, std::vector<double>{0.025}, lambda);
-  ASSERT_TRUE(r4.stable);
-  ASSERT_TRUE(r1.stable);
-  EXPECT_NEAR(r4.stations[0].utilization, r1.stations[0].utilization, 1e-12);
-  EXPECT_GT(r4.response_time, r1.response_time);
-}
-
-TEST(OpenNetwork, TandemSumsResponseTimes) {
-  const auto net = make_network({"a", "b"}, {1, 1}, 0.0);
-  const std::vector<double> d{0.05, 0.02};
-  const auto r = open_network_analysis(net, d, 4.0);
-  ASSERT_TRUE(r.stable);
-  const double ra = 0.05 / (1.0 - 4.0 * 0.05);
-  const double rb = 0.02 / (1.0 - 4.0 * 0.02);
-  EXPECT_NEAR(r.response_time, ra + rb, 1e-9);
-}
-
-TEST(OpenNetwork, DetectsInstability) {
-  const auto net = make_network({"cpu"}, {1}, 0.0);
-  const auto r = open_network_analysis(net, std::vector<double>{0.1}, 12.0);
-  EXPECT_FALSE(r.stable);
-  EXPECT_TRUE(std::isinf(r.response_time));
-  EXPECT_GE(r.stations[0].utilization, 1.0);
-}
-
-TEST(OpenNetwork, StrictVariantThrowsNamingTheUnstableStation) {
-  const auto net = make_network({"cpu"}, {2}, 0.0);
-  const std::vector<double> d{0.1};
-
-  // Stable operating point: strict and graceful agree exactly.
-  const auto ok = open_network_analysis_strict(net, d, 10.0);
-  EXPECT_TRUE(ok.stable);
-  EXPECT_NEAR(ok.response_time, open_network_analysis(net, d, 10.0).response_time,
-              0.0);
-
-  // Offered load 25 * 0.1 = 2.5 Erlangs >= 2 servers: the strict variant
-  // throws with the library prefix, the station name, and the server
-  // multiplicity; the graceful variant keeps reporting stable == false.
-  try {
-    open_network_analysis_strict(net, d, 25.0);
-    FAIL() << "expected invalid_argument_error";
-  } catch (const invalid_argument_error& e) {
-    const std::string msg = e.what();
-    EXPECT_EQ(msg.rfind("mtperf: ", 0), 0u) << msg;
-    EXPECT_NE(msg.find("station 'cpu' is unstable"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("2 server"), std::string::npos) << msg;
-  }
-  EXPECT_FALSE(open_network_analysis(net, d, 25.0).stable);
-}
-
-TEST(OpenNetwork, StrictVariantAcceptsThroughputVaryingDemands) {
-  // Demand falls with offered load; at lambda = 9 the effective demand
-  // keeps rho < 1, so the strict call succeeds.
-  const auto net = make_network({"cpu"}, {1}, 0.0);
-  const auto model = DemandModel::interpolated(
-      {std::make_shared<interp::PiecewiseCubic>(interp::build_cubic_spline(
-          interp::SampleSet({1.0, 5.0, 10.0}, {0.1, 0.09, 0.08})))},
-      DemandModel::Axis::kThroughput);
-  const auto r = open_network_analysis_strict(net, model, 9.0);
-  EXPECT_TRUE(r.stable);
-  EXPECT_THROW(open_network_analysis_strict(net, model, 13.0),
-               invalid_argument_error);
-}
-
-TEST(OpenNetwork, ValidatesInputsUpFrontNamingTheStation) {
-  const auto net = make_network({"a", "b"}, {1, 1}, 0.0);
-  const std::vector<double> bad{0.05,
-                                std::numeric_limits<double>::quiet_NaN()};
-  try {
-    open_network_analysis(net, bad, 1.0);
-    FAIL() << "expected invalid_argument_error";
-  } catch (const invalid_argument_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("station 'b'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("finite and non-negative"), std::string::npos) << msg;
-  }
-  const std::vector<double> neg{0.05, -0.01};
-  EXPECT_THROW(open_network_analysis(net, neg, 1.0), invalid_argument_error);
-  EXPECT_THROW(
-      open_network_analysis(net, std::vector<double>{0.05, 0.01},
-                            -std::numeric_limits<double>::infinity()),
-      invalid_argument_error);
-}
-
-TEST(OpenNetwork, VisitsScaleOfferedLoad) {
-  const ClosedNetwork net(
-      {Station{"disk", 3.0, 1, StationKind::kQueueing}}, 0.0);
-  const auto r = open_network_analysis(net, std::vector<double>{0.05}, 4.0);
-  // offered = lambda * V * D = 4 * 3 * 0.05 = 0.6.
-  EXPECT_NEAR(r.stations[0].utilization, 0.6, 1e-12);
-}
-
-TEST(OpenNetwork, MaxStableRateConstantDemands) {
-  const auto net = make_network({"a", "b"}, {2, 1}, 0.0);
-  const auto model = DemandModel::constant({0.1, 0.02});
-  // min(2/0.1, 1/0.02) = 20.
-  EXPECT_NEAR(max_stable_arrival_rate(net, model, 1000.0), 20.0, 0.01);
-}
-
-TEST(OpenNetwork, MaxStableRateWithThroughputVaryingDemands) {
-  // Demand falls with throughput: the stable region extends beyond the
-  // cold-demand bound 1/D(0).
-  const auto net = make_network({"a"}, {1}, 0.0);
-  auto spline = std::make_shared<interp::PiecewiseCubic>(
-      interp::build_cubic_spline(
-          interp::SampleSet({0.0, 50.0, 100.0}, {0.02, 0.015, 0.0125})));
-  const auto model = DemandModel::interpolated(
-      {spline}, DemandModel::Axis::kThroughput);
-  const double max_rate = max_stable_arrival_rate(net, model, 1000.0);
-  // Beyond the cold bound 1/D(0) = 50, but below the floor bound
-  // 1/D(inf) = 80: instability hits at the fixed point lambda D(lambda) = 1,
-  // which lands mid-spline (~74).
-  EXPECT_GT(max_rate, 1.0 / 0.02);
-  EXPECT_LT(max_rate, 1.0 / 0.0125);
-  const auto at_limit = open_network_analysis(net, model, max_rate * 0.999);
-  EXPECT_TRUE(at_limit.stable);
-}
-
-TEST(OpenNetwork, DelayStationAddsLatencyNoContention) {
-  const ClosedNetwork net(
-      {Station{"q", 1.0, 1, StationKind::kQueueing},
-       Station{"lan", 1.0, 1, StationKind::kDelay}},
-      0.0);
-  const auto r =
-      open_network_analysis(net, std::vector<double>{0.05, 0.3}, 2.0);
-  ASSERT_TRUE(r.stable);
-  EXPECT_NEAR(r.stations[1].response_time, 0.3, 1e-12);
-  EXPECT_DOUBLE_EQ(r.stations[1].utilization, 0.0);
-}
 
 // ----------------------------------------------------------- extrapolation
 

@@ -19,6 +19,7 @@
 #include "core/solve.hpp"
 #include "core/sweep.hpp"
 #include "service/engine.hpp"
+#include "service/fingerprint.hpp"
 #include "service/json.hpp"
 #include "service/request.hpp"
 #include "service/server.hpp"
@@ -316,6 +317,28 @@ TEST(RequestParsing, ZeroPopulationClassAmongNonZeroIsServed) {
   EXPECT_EQ(classes.at("idle").at("population").as_number(), 0.0);
   EXPECT_EQ(classes.at("idle").at("throughput").as_number(), 0.0);
   EXPECT_GT(classes.at("busy").at("throughput").as_number(), 0.0);
+}
+
+TEST(RequestParsing, ExactMultiserverAliasSharesTheMvasdCacheEntry) {
+  // "exact-multiserver" names the mvasd kind, so a spec sent under either
+  // name has one fingerprint and one cache entry.
+  const std::string body =
+      "\"stations\":[{\"name\":\"cpu\",\"servers\":16},{\"name\":\"disk\"}],"
+      "\"demands\":{\"type\":\"constant\",\"values\":[0.012,0.03]},"
+      "\"max_population\":200}";
+  const auto alias =
+      service::parse_request("{\"solver\":\"exact-multiserver\"," + body);
+  const auto canonical =
+      service::parse_request("{\"solver\":\"mvasd\"," + body);
+  EXPECT_EQ(alias.spec.options.solver, core::SolverKind::kMvasd);
+  EXPECT_EQ(service::fingerprint(alias.spec),
+            service::fingerprint(canonical.spec));
+  service::Engine engine;
+  const auto first = engine.evaluate(alias.spec);
+  const auto second = engine.evaluate(canonical.spec);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(first.result.get(), second.result.get());
 }
 
 TEST(ServePipeline, MomServesMixesBeyondTheExactGuard) {

@@ -41,7 +41,7 @@ ScenarioSpec basic_spec(std::string label = "base", unsigned users = 50) {
   spec.label = std::move(label);
   spec.network = core::make_network({"cpu", "disk"}, {16, 1}, 1.0);
   spec.demands = DemandModel::constant({0.012, 0.030});
-  spec.options.solver = SolverKind::kExactMultiserver;
+  spec.options.solver = SolverKind::kMvasd;
   spec.options.max_population = users;
   return spec;
 }
@@ -106,7 +106,7 @@ TEST(Fingerprint, DistinguishesStructure) {
   }
   {  // different solver kind
     auto s = basic_spec();
-    s.options.solver = SolverKind::kMvasd;
+    s.options.solver = SolverKind::kMvasdSingleServer;
     variants.push_back(std::move(s));
   }
   {  // different station name
@@ -131,8 +131,8 @@ TEST(Fingerprint, SolverOptionsOnlyCountWhereUsed) {
   b.options.schweitzer.tolerance *= 10.0;
   EXPECT_FALSE(fingerprint(a) == fingerprint(b));
   // ...but irrelevant (and excluded) for solvers that never read it.
-  a.options.solver = SolverKind::kExactMultiserver;
-  b.options.solver = SolverKind::kExactMultiserver;
+  a.options.solver = SolverKind::kMvasd;
+  b.options.solver = SolverKind::kMvasd;
   EXPECT_EQ(fingerprint(a), fingerprint(b));
 }
 
@@ -460,14 +460,21 @@ TEST(Engine, MomMulticlassCachesWholeMixesOnly) {
 
 TEST(SolveFacade, KindNamesRoundTrip) {
   for (const auto kind :
-       {SolverKind::kExactSingleServer, SolverKind::kExactMultiserver,
-        SolverKind::kSchweitzer, SolverKind::kApproxMultiserver,
-        SolverKind::kLoadDependent, SolverKind::kMvasd,
-        SolverKind::kMvasdSingleServer, SolverKind::kSeidmann,
-        SolverKind::kSeidmannSchweitzer}) {
+       {SolverKind::kExactSingleServer, SolverKind::kSchweitzer,
+        SolverKind::kApproxMultiserver, SolverKind::kLoadDependent,
+        SolverKind::kMvasd, SolverKind::kMvasdSingleServer,
+        SolverKind::kSeidmann, SolverKind::kSeidmannSchweitzer,
+        SolverKind::kHierarchical}) {
     EXPECT_EQ(core::parse_solver_kind(core::solver_kind_name(kind)), kind);
   }
   EXPECT_THROW(core::parse_solver_kind("no-such-solver"), Error);
+}
+
+TEST(SolveFacade, ExactMultiserverIsAnAliasOfMvasd) {
+  // Algorithm 2 is Algorithm 3 over constant demands: one kind, whose
+  // historical name still parses and whose canonical name is "mvasd".
+  EXPECT_EQ(core::parse_solver_kind("exact-multiserver"), SolverKind::kMvasd);
+  EXPECT_STREQ(core::solver_kind_name(SolverKind::kMvasd), "mvasd");
 }
 
 TEST(SolveFacade, ErrorsCarryStablePrefix) {

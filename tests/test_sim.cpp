@@ -14,8 +14,6 @@
 #include "core/network.hpp"
 #include "sim/closed_network_sim.hpp"
 #include "sim/event_engine.hpp"
-#include "sim/simulator.hpp"
-#include "sim/station.hpp"
 
 namespace mtperf::sim {
 namespace {
@@ -96,144 +94,172 @@ TEST(EventEngine, HeapStressMatchesSortedReference) {
   EXPECT_EQ(seen, expected);
 }
 
-// --------------------------------------------------------------- Simulator
-
-TEST(Simulator, ProcessesEventsInTimeOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.schedule(3.0, [&] { order.push_back(3); });
-  sim.schedule(1.0, [&] { order.push_back(1); });
-  sim.schedule(2.0, [&] { order.push_back(2); });
-  sim.run_until(10.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
-}
-
-TEST(Simulator, SimultaneousEventsFifo) {
-  Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    sim.schedule(1.0, [&order, i] { order.push_back(i); });
-  }
-  sim.run_until(1.0);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator sim;
+TEST(EventEngine, RunUntilStopsAtBoundary) {
+  EventEngine eng;
   int fired = 0;
-  sim.schedule(1.0, [&] { ++fired; });
-  sim.schedule(2.5, [&] { ++fired; });
-  sim.run_until(2.0);
+  const auto count = [&](const Event&) { ++fired; };
+  eng.schedule(1.0, EventOp::kTick);
+  eng.schedule(2.5, EventOp::kTick);
+  eng.run_until(2.0, count);
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.run_until(3.0);
+  EXPECT_EQ(eng.pending_events(), 1u);
+  eng.run_until(3.0, count);
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, EventsCanScheduleEvents) {
-  Simulator sim;
-  int chain = 0;
-  std::function<void()> next = [&] {
-    if (++chain < 5) sim.schedule(1.0, next);
-  };
-  sim.schedule(1.0, next);
-  sim.run_until(100.0);
-  EXPECT_EQ(chain, 5);
+// ------------------------------------------------- stations (closed form)
+//
+// Station behaviour observed through simulate_closed_network.  Service and
+// think times are deterministic, so each run is one fixed timeline and
+// every statistic below is a closed form of it.  Measure windows start and
+// end between events.
+
+SimOptions deterministic_options(unsigned customers, double think,
+                                 double warmup, double measure) {
+  SimOptions o;
+  o.customers = customers;
+  o.think_time_mean = think;
+  o.exponential_think = false;
+  o.warmup_time = warmup;
+  o.measure_time = measure;
+  return o;
 }
 
-TEST(Simulator, RejectsPastScheduling) {
-  Simulator sim;
-  sim.run_until(5.0);
-  EXPECT_THROW(sim.schedule(-1.0, [] {}), invalid_argument_error);
-  EXPECT_THROW(sim.run_until(4.0), invalid_argument_error);
+SimVisit fixed(std::size_t station, double service) {
+  return {station, service, {DistributionKind::kDeterministic, 0.0}};
 }
 
-TEST(Simulator, StepProcessesOneEvent) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1.0, [&] { ++fired; });
-  sim.schedule(2.0, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-}
-
-// ----------------------------------------------------------------- Station
+constexpr Discipline kPs = Discipline::kProcessorSharing;
 
 TEST(Station, ServesImmediatelyWhenIdle) {
-  Simulator sim;
-  MultiServerStation st(sim, "cpu", 2);
-  int done = 0;
-  st.arrive(1.0, [&] { ++done; });
-  st.arrive(1.0, [&] { ++done; });
-  EXPECT_EQ(st.busy_servers(), 2u);
-  EXPECT_EQ(st.waiting_jobs(), 0u);
-  sim.run_until(1.0);
-  EXPECT_EQ(done, 2);
-  EXPECT_EQ(st.completions(), 2u);
+  // Two customers on two servers never queue: R = S, and each server is
+  // busy 1 s of every 2 s cycle.
+  const auto r = simulate_closed_network(
+      {{"cpu", 2}}, {fixed(0, 1.0)}, deterministic_options(2, 1.0, 0.5, 10.0));
+  EXPECT_EQ(r.transactions, 10u);  // each customer finishes at t = 1, 3, .. 9
+  EXPECT_DOUBLE_EQ(r.response_time, 1.0);
+  EXPECT_DOUBLE_EQ(r.response_percentiles.p99, 1.0);
+  EXPECT_EQ(r.stations[0].completions, 10u);
+  EXPECT_NEAR(r.stations[0].utilization, 0.5, 1e-12);
 }
 
 TEST(Station, QueuesBeyondServerCount) {
-  Simulator sim;
-  MultiServerStation st(sim, "disk", 1);
-  std::vector<double> completion_times;
-  for (int i = 0; i < 3; ++i) {
-    st.arrive(2.0, [&] { completion_times.push_back(sim.now()); });
-  }
-  EXPECT_EQ(st.waiting_jobs(), 2u);
-  sim.run_until(10.0);
-  EXPECT_EQ(completion_times,
-            (std::vector<double>{2.0, 4.0, 6.0}));  // strict FCFS
+  // Three customers, one server, 2 s service, no think time: strict FCFS
+  // rotation puts two services ahead of each one, so X = 0.5/s, R = 6 s,
+  // and the server never idles.  The window starts after the first
+  // rotation (responses 2, 4, 6 s at t = 2, 4, 6).
+  const auto r = simulate_closed_network(
+      {{"disk", 1}}, {fixed(0, 2.0)}, deterministic_options(3, 0.0, 7.0, 60.0));
+  EXPECT_EQ(r.transactions, 30u);
+  EXPECT_DOUBLE_EQ(r.throughput, 0.5);
+  EXPECT_DOUBLE_EQ(r.response_time, 6.0);
+  EXPECT_DOUBLE_EQ(r.response_percentiles.p50, 6.0);
+  EXPECT_DOUBLE_EQ(r.stations[0].utilization, 1.0);
+  EXPECT_DOUBLE_EQ(r.stations[0].mean_jobs, 3.0);
 }
 
 TEST(Station, UtilizationOfDeterministicLoad) {
-  Simulator sim;
-  MultiServerStation st(sim, "cpu", 2);
-  st.arrive(4.0, [] {});
-  st.arrive(2.0, [] {});
-  sim.run_until(8.0);
-  // Busy-server-seconds = 4 + 2 = 6 over 8 s of 2 servers -> 6/16.
-  EXPECT_NEAR(st.utilization(), 6.0 / 16.0, 1e-12);
-  EXPECT_NEAR(st.busy_time(), 6.0, 1e-12);
+  // One customer visits a two-server station for 4 s, then 2 s, then
+  // thinks 2 s: busy-server-seconds 6 of every 8 s cycle, U = 6/16.
+  const auto r = simulate_closed_network(
+      {{"cpu", 2}}, {fixed(0, 4.0), fixed(0, 2.0)},
+      deterministic_options(1, 2.0, 0.5, 80.0));
+  EXPECT_NEAR(r.stations[0].utilization, 6.0 / 16.0, 1e-12);
+  EXPECT_EQ(r.stations[0].completions, 20u);
+  EXPECT_DOUBLE_EQ(r.response_time, 6.0);
 }
 
 TEST(Station, MeanJobsTimeAverage) {
-  Simulator sim;
-  MultiServerStation st(sim, "cpu", 1);
-  st.arrive(2.0, [] {});  // one job for [0,2]
-  sim.run_until(4.0);
-  EXPECT_NEAR(st.mean_jobs(), 0.5, 1e-12);  // 2 job-seconds over 4 s
+  // One customer: 2 s of service, 2 s of thinking.  The station holds one
+  // job half the time, as Little's law N = X R = 0.25/s * 2 s says.
+  const auto r = simulate_closed_network(
+      {{"cpu", 1}}, {fixed(0, 2.0)}, deterministic_options(1, 2.0, 0.5, 40.0));
+  EXPECT_NEAR(r.stations[0].mean_jobs, 0.5, 1e-12);
+  EXPECT_NEAR(r.throughput * r.response_time, 0.5, 1e-12);
 }
 
 TEST(Station, ResetStatsDropsHistoryKeepsJobs) {
-  Simulator sim;
-  MultiServerStation st(sim, "cpu", 1);
-  st.arrive(2.0, [] {});
-  st.arrive(2.0, [] {});
-  sim.run_until(1.0);
-  st.reset_stats();
-  sim.run_until(4.0);  // first job ends at 2, second at 4
-  EXPECT_EQ(st.completions(), 2u);  // both completed after reset
-  // After reset the station was busy the whole [1,4] window.
-  EXPECT_NEAR(st.utilization(), 1.0, 1e-12);
+  // Same cycle, but the warm-up ends mid-service at t = 1.  The window
+  // (1, 9] counts only its own busy time, [1,2] + [4,6] + [8,9] = 4 s of 8
+  // (keeping [0,1] would give 5/9), and the job in flight at the reset
+  // still completes with its full 2 s response time.
+  const auto r = simulate_closed_network(
+      {{"cpu", 1}}, {fixed(0, 2.0)}, deterministic_options(1, 2.0, 1.0, 8.0));
+  EXPECT_NEAR(r.stations[0].utilization, 0.5, 1e-12);
+  EXPECT_EQ(r.stations[0].completions, 2u);  // at t = 2 and 6
+  EXPECT_EQ(r.transactions, 2u);
+  EXPECT_DOUBLE_EQ(r.response_time, 2.0);
 }
 
 TEST(Station, ZeroServiceTimeCompletes) {
-  Simulator sim;
-  MultiServerStation st(sim, "nic", 1);
-  bool done = false;
-  st.arrive(0.0, [&] { done = true; });
-  sim.run_until(0.0);
-  EXPECT_TRUE(done);
+  // A zero-length visit completes at its arrival instant.
+  const auto r = simulate_closed_network(
+      {{"nic", 1}}, {fixed(0, 0.0)}, deterministic_options(1, 1.0, 0.5, 10.0));
+  EXPECT_EQ(r.transactions, 10u);
+  EXPECT_DOUBLE_EQ(r.response_time, 0.0);
+  EXPECT_DOUBLE_EQ(r.stations[0].utilization, 0.0);
 }
 
 TEST(Station, RejectsInvalidConfig) {
-  Simulator sim;
-  EXPECT_THROW(MultiServerStation(sim, "x", 0), invalid_argument_error);
-  MultiServerStation st(sim, "x", 1);
-  EXPECT_THROW(st.arrive(-1.0, [] {}), invalid_argument_error);
+  const SimOptions o = deterministic_options(1, 1.0, 0.0, 10.0);
+  EXPECT_THROW(simulate_closed_network({{"x", 0}}, {fixed(0, 1.0)}, o),
+               invalid_argument_error);
+  EXPECT_THROW(simulate_closed_network({{"x", 1}}, {fixed(0, -1.0)}, o),
+               invalid_argument_error);
+}
+
+TEST(ProcessorSharing, SingleJobRunsAtFullRate) {
+  // Alone at the station a job gets the whole server: R = S.
+  const auto r = simulate_closed_network(
+      {{"cpu", 1, kPs}}, {fixed(0, 2.0)},
+      deterministic_options(1, 1.0, 0.5, 30.0));
+  EXPECT_EQ(r.transactions, 10u);  // at t = 2, 5, .. 29
+  EXPECT_NEAR(r.response_time, 2.0, 1e-9);
+  EXPECT_EQ(r.stations[0].completions, 10u);
+}
+
+TEST(ProcessorSharing, TwoJobsShareCapacity) {
+  // Two customers arrive together every 3 s with 1 s jobs: each runs at
+  // rate 1/2 and both leave 2 s later.  (FCFS would let one leave at 1 s
+  // and, after one cycle, stop the two from overlapping at all.)
+  const auto r = simulate_closed_network(
+      {{"cpu", 1, kPs}}, {fixed(0, 1.0)},
+      deterministic_options(2, 1.0, 1.0, 12.0));
+  EXPECT_EQ(r.transactions, 8u);  // both at t = 2, 5, 8, 11
+  EXPECT_NEAR(r.response_time, 2.0, 1e-9);
+  EXPECT_NEAR(r.response_percentiles.p50, 2.0, 1e-9);
+}
+
+TEST(ProcessorSharing, ShortJobOvertakesLongJob) {
+  // Customer 0 runs a 1 s job, then a 4 s job from t = 1.  Customer 1
+  // arrives at t = 2 with its own 1 s job.  Sharing the server, the short
+  // job leaves at t = 4 while the long one (3 s left at t = 2) is still in
+  // service, so two jobs are done by t = 4.5; FCFS holds the short job
+  // behind the long one until t = 5.
+  const std::vector<SimVisit> flow{fixed(0, 1.0), fixed(0, 4.0)};
+  SimOptions o = deterministic_options(2, 100.0, 0.5, 4.0);
+  o.ramp_up_interval = 2.0;
+  const auto ps = simulate_closed_network({{"cpu", 1, kPs}}, flow, o);
+  const auto fcfs = simulate_closed_network({{"cpu", 1}}, flow, o);
+  EXPECT_EQ(ps.stations[0].completions, 2u);
+  EXPECT_EQ(fcfs.stations[0].completions, 1u);
+}
+
+TEST(ProcessorSharing, MultiServerRunsUpToCJobsAtFullSpeed) {
+  // Two servers' capacity: two jobs both run at full rate, R = S.
+  const auto r = simulate_closed_network(
+      {{"cpu", 2, kPs}}, {fixed(0, 1.0)},
+      deterministic_options(2, 1.0, 0.5, 12.0));
+  EXPECT_EQ(r.transactions, 12u);  // both at t = 1, 3, .. 11
+  EXPECT_NEAR(r.response_time, 1.0, 1e-9);
+}
+
+TEST(ProcessorSharing, UtilizationAccounting) {
+  // One 3 s job every 6 s on a two-server station: U = 3 / (2 * 6).
+  const auto r = simulate_closed_network(
+      {{"cpu", 2, kPs}}, {fixed(0, 3.0)},
+      deterministic_options(1, 3.0, 0.5, 12.0));
+  EXPECT_NEAR(r.stations[0].utilization, 0.25, 1e-9);
 }
 
 // -------------------------------------------------- closed network (stats)

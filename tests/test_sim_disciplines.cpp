@@ -10,8 +10,6 @@
 #include "core/mva_exact.hpp"
 #include "core/network.hpp"
 #include "sim/closed_network_sim.hpp"
-#include "sim/simulator.hpp"
-#include "sim/station.hpp"
 
 namespace mtperf::sim {
 namespace {
@@ -65,66 +63,6 @@ TEST(RngExtensions, LognormalMoments) {
   for (int i = 0; i < 200000; ++i) s.add(rng.lognormal(3.0, 0.5));
   EXPECT_NEAR(s.mean(), 3.0, 0.05);
   EXPECT_NEAR(s.stddev() / s.mean(), 0.5, 0.02);
-}
-
-// ------------------------------------------------------------ PS station
-
-TEST(ProcessorSharing, SingleJobRunsAtFullRate) {
-  Simulator sim;
-  ProcessorSharingStation st(sim, "cpu", 1);
-  double done_at = -1.0;
-  st.arrive(2.0, [&] { done_at = sim.now(); });
-  sim.run_until(10.0);
-  EXPECT_NEAR(done_at, 2.0, 1e-9);
-  EXPECT_EQ(st.completions(), 1u);
-}
-
-TEST(ProcessorSharing, TwoJobsShareCapacity) {
-  Simulator sim;
-  ProcessorSharingStation st(sim, "cpu", 1);
-  std::vector<double> done;
-  st.arrive(1.0, [&] { done.push_back(sim.now()); });
-  st.arrive(1.0, [&] { done.push_back(sim.now()); });
-  sim.run_until(10.0);
-  // Both jobs proceed at rate 1/2: both finish at t = 2.
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(done[0], 2.0, 1e-9);
-  EXPECT_NEAR(done[1], 2.0, 1e-9);
-}
-
-TEST(ProcessorSharing, ShortJobOvertakesLongJob) {
-  Simulator sim;
-  ProcessorSharingStation st(sim, "cpu", 1);
-  double short_done = -1.0, long_done = -1.0;
-  st.arrive(4.0, [&] { long_done = sim.now(); });
-  st.arrive(1.0, [&] { short_done = sim.now(); });
-  sim.run_until(20.0);
-  // Shared until the short job finishes at t = 2 (each got 1 unit of work);
-  // the long job then runs alone: 3 remaining -> finishes at t = 5.
-  EXPECT_NEAR(short_done, 2.0, 1e-9);
-  EXPECT_NEAR(long_done, 5.0, 1e-9);
-  EXPECT_LT(short_done, long_done);  // FCFS would have inverted this
-}
-
-TEST(ProcessorSharing, MultiServerRunsUpToCJobsAtFullSpeed) {
-  Simulator sim;
-  ProcessorSharingStation st(sim, "cpu", 2);
-  std::vector<double> done;
-  st.arrive(1.0, [&] { done.push_back(sim.now()); });
-  st.arrive(1.0, [&] { done.push_back(sim.now()); });
-  sim.run_until(10.0);
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(done[0], 1.0, 1e-9);  // both at full rate on 2 servers
-  EXPECT_NEAR(done[1], 1.0, 1e-9);
-}
-
-TEST(ProcessorSharing, UtilizationAccounting) {
-  Simulator sim;
-  ProcessorSharingStation st(sim, "cpu", 2);
-  st.arrive(3.0, [] {});
-  sim.run_until(6.0);
-  // One job for 3 s on a 2-server station: busy integral 3 of capacity 12.
-  EXPECT_NEAR(st.utilization(), 0.25, 1e-9);
 }
 
 // ------------------------------------- closed-network discipline behaviour

@@ -159,13 +159,17 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_predict(const Args& args) {
+  const std::string axis_name = args.str("axis", std::string("concurrency"));
+  auto axis = core::DemandModel::Axis::kConcurrency;
+  if (axis_name == "throughput") {
+    axis = core::DemandModel::Axis::kThroughput;
+  } else if (axis_name != "concurrency") {
+    usage("unknown --axis (concurrency|throughput)");
+  }
   const auto table = ops::load_demand_table_file(args.str("campaign"));
   const double think = args.num("think");
   const auto max_users = static_cast<unsigned>(args.num("max-users"));
   const std::string model = args.str("model", std::string("mvasd"));
-  const auto axis = args.str("axis", std::string("concurrency")) == "throughput"
-                        ? core::DemandModel::Axis::kThroughput
-                        : core::DemandModel::Axis::kConcurrency;
 
   // Map the CLI model name to a declarative spec, then hand everything to
   // the core::solve facade.

@@ -30,14 +30,18 @@
 // lines; the process keeps serving.  Metrics lines report cache
 // hits/misses/evictions, solve-latency percentiles, batch occupancy,
 // and — on the socket transport — admission/shedding counters.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <variant>
 
 #include "common/socket.hpp"
@@ -181,6 +185,24 @@ int serve_socket(service::ServerOptions options) {
   return 0;
 }
 
+/// Parse a flag's value as a decimal integer of exactly `out`'s type, or
+/// exit 2 naming the flag.  std::from_chars rejects a sign on unsigned
+/// types and reports values outside the type's range; trailing characters
+/// ("2x", "1.5") are rejected too.
+template <typename T>
+void parse_flag(const std::string& flag, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec != std::errc{} || ptr != end) {
+    std::fprintf(stderr,
+                 "error: %s expects an integer in [%s, %s], got '%s'\n",
+                 flag.c_str(),
+                 std::to_string(std::numeric_limits<T>::min()).c_str(),
+                 std::to_string(std::numeric_limits<T>::max()).c_str(), text);
+    std::exit(2);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -188,34 +210,37 @@ int main(int argc, char** argv) {
   std::optional<std::uint16_t> port;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> double {
+    const auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: %s expects a value\n", arg.c_str());
         std::exit(2);
       }
-      return std::atof(argv[++i]);
+      return argv[++i];
     };
     if (arg == "--threads") {
-      options.engine.threads = static_cast<std::size_t>(next());
+      parse_flag(arg, value(), options.engine.threads);
     } else if (arg == "--cache-capacity") {
-      options.engine.cache_capacity = static_cast<std::size_t>(next());
+      parse_flag(arg, value(), options.engine.cache_capacity);
     } else if (arg == "--shards") {
-      options.engine.shards = static_cast<std::size_t>(next());
+      parse_flag(arg, value(), options.engine.shards);
     } else if (arg == "--port") {
-      port = static_cast<std::uint16_t>(next());
+      std::uint16_t p = 0;
+      parse_flag(arg, value(), p);
+      port = p;
     } else if (arg == "--stdio") {
       port.reset();
     } else if (arg == "--batch-size") {
-      options.max_batch = static_cast<std::size_t>(next());
+      parse_flag(arg, value(), options.max_batch);
     } else if (arg == "--batch-deadline-us") {
-      options.batch_deadline =
-          std::chrono::microseconds(static_cast<long>(next()));
+      std::chrono::microseconds::rep us = 0;
+      parse_flag(arg, value(), us);
+      options.batch_deadline = std::chrono::microseconds(us);
     } else if (arg == "--queue-capacity") {
-      options.queue_capacity = static_cast<std::size_t>(next());
+      parse_flag(arg, value(), options.queue_capacity);
     } else if (arg == "--max-inflight") {
-      options.max_inflight_per_conn = static_cast<std::size_t>(next());
+      parse_flag(arg, value(), options.max_inflight_per_conn);
     } else if (arg == "--batchers") {
-      options.batchers = static_cast<std::size_t>(next());
+      parse_flag(arg, value(), options.batchers);
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(
           stderr,
