@@ -1,25 +1,30 @@
 // Microbenchmarks of the discrete-event simulator (google-benchmark):
 // raw event throughput of the typed engine and end-to-end closed-network
 // simulation cost, single-run and replicated.  After the google-benchmark
-// pass, main() times the typed engine's events/sec and the parallel vs
-// sequential R=8 replication throughput directly, checks that parallel and
-// sequential replications merge to bit-identical results, and writes
-// bench_out/BENCH_sim.json.  The exit code gates only the determinism
-// parity — wall-clock ratios are recorded, not asserted (shared runners
-// are too noisy to gate on).
+// pass, main() times the typed engine's events/sec, the parallel vs
+// sequential R=8 replication throughput, and the cost per simulated visit
+// of the paper pipeline's two heaviest campaign cells; it checks that
+// parallel and sequential replications merge to bit-identical results and
+// writes bench_out/BENCH_sim.json.  The exit code gates only the
+// determinism parity — wall-clock numbers are recorded, not asserted
+// (shared runners are too noisy to gate on).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "apps/jpetstore.hpp"
+#include "apps/vins.hpp"
 #include "bench_util.hpp"
 #include "sim/closed_network_sim.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/replicated.hpp"
+#include "workload/campaign.hpp"
 
 namespace {
 
@@ -123,6 +128,45 @@ bool same_result(const sim::SimResult& a, const sim::SimResult& b) {
   return true;
 }
 
+/// One of the heaviest cells of perfbench's pipeline-chebyshev workload:
+/// the level that sets an op's makespan, run the way run_campaign runs it
+/// there (Grinder defaults, a quarter warm-up, 2 replications), but
+/// sequentially, so the time is one core's.  With about 288 (VINS) or 122
+/// (JPetStore) events pending, 93% and 79% of them think completions, it
+/// shows the event-list depth that the one-event chain above cannot.
+struct HeavyCell {
+  const char* app;
+  unsigned customers;
+  double duration_s;
+  std::uint64_t visits = 0;        ///< station completions, warm-up included
+  std::uint64_t transactions = 0;  ///< measured; a checksum across builds
+  double ms = 0.0;
+  double ns_per_visit = 0.0;
+};
+
+void time_heavy_cell(const workload::ApplicationModel& app, HeavyCell& cell,
+                     int reps) {
+  workload::CampaignSettings settings;
+  settings.grinder.duration_s = cell.duration_s;
+  settings.seed = 101;
+  settings.replications = 2;
+  const std::vector<unsigned> level{cell.customers};
+  // Count every visit: without a warm-up the same event sequence is
+  // measured from t = 0, so its station completions are all of them.
+  workload::CampaignSettings count = settings;
+  count.warmup_fraction = 0.0;
+  cell.visits = 0;
+  for (const auto& st : workload::run_campaign(app, level, count).runs[0]
+                            .sim.stations) {
+    cell.visits += st.completions;
+  }
+  cell.ms = min_over_reps(reps, [&] {
+    cell.transactions =
+        workload::run_campaign(app, level, settings).runs[0].sim.transactions;
+  });
+  cell.ns_per_visit = cell.ms * 1e6 / static_cast<double>(cell.visits);
+}
+
 int write_bench_json() {
   constexpr int kChainEvents = 2'000'000;
   constexpr int kReps = 3;
@@ -171,11 +215,21 @@ int write_bench_json() {
   const double parallel_speedup = seq_ms / par_ms;
   const unsigned hw = std::thread::hardware_concurrency();
 
+  HeavyCell heavy[] = {{"vins", 751, 20.5}, {"jpetstore", 151, 40.0}};
+  time_heavy_cell(apps::make_vins(), heavy[0], kReps + 2);
+  time_heavy_cell(app, heavy[1], kReps + 2);
+
   std::printf("\nevent engine: %.1f ms (%.0f events/s)\n", typed_ms,
               typed_eps);
   std::printf("replicated JPetStore level (R=8, N=70): sequential %.1f ms, "
               "pool(8) %.1f ms (%.2fx on %u hardware threads)\n",
               seq_ms, par_ms, parallel_speedup, hw);
+  for (const HeavyCell& c : heavy) {
+    std::printf("pipeline heavy cell %s N=%u (%.1f s, R=2): %.1f ms, "
+                "%llu visits, %.1f ns/visit\n",
+                c.app, c.customers, c.duration_s, c.ms,
+                static_cast<unsigned long long>(c.visits), c.ns_per_visit);
+  }
   std::printf("parallel == sequential merge: %s\n",
               deterministic ? "bit-identical" : "MISMATCH");
 
@@ -199,12 +253,25 @@ int write_bench_json() {
                "  \"parallel_speedup\": %.2f,\n"
                "  \"pool_threads\": 8,\n"
                "  \"hardware_threads\": %u,\n"
-               "  \"deterministic_across_pools\": %s\n"
-               "}\n",
+               "  \"deterministic_across_pools\": %s,\n"
+               "  \"heavy_cells\": [\n",
                kChainEvents, typed_eps,
                ro.replications, ro.base.customers, seq_ms, par_ms,
                seq_txn_per_s, par_txn_per_s, parallel_speedup, hw,
                deterministic ? "true" : "false");
+  for (std::size_t i = 0; i < std::size(heavy); ++i) {
+    const HeavyCell& c = heavy[i];
+    std::fprintf(f,
+                 "    {\"app\": \"%s\", \"customers\": %u, "
+                 "\"duration_s\": %.1f, \"replications\": 2, "
+                 "\"visits\": %llu, \"transactions\": %llu, "
+                 "\"ms\": %.2f, \"ns_per_visit\": %.1f}%s\n",
+                 c.app, c.customers, c.duration_s,
+                 static_cast<unsigned long long>(c.visits),
+                 static_cast<unsigned long long>(c.transactions), c.ms,
+                 c.ns_per_visit, i + 1 < std::size(heavy) ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
   return deterministic ? 0 : 1;

@@ -304,9 +304,14 @@ SimResult simulate_closed_network(const std::vector<SimStation>& stations,
       st.jobs.reserve(options.customers);
     }
   }
-  // Pending events are bounded by one per customer (think or departure)
-  // plus a few superseded PS fires per station.
-  run.eng.reserve(options.customers + 4 * stations.size() + 16);
+  // Each customer has at most one think completion pending.  Service
+  // events are bounded by the jobs in service, at most min(sum of servers,
+  // N), plus a few superseded PS fires per station.
+  std::size_t total_servers = 0;
+  for (const auto& st : stations) total_servers += st.servers;
+  run.eng.reserve(options.customers,
+                  std::min<std::size_t>(total_servers, options.customers) +
+                      4 * stations.size() + 16);
   run.ps_done.reserve(options.customers);
   run.current_visit.assign(options.customers, 0);
   run.txn_start.assign(options.customers, 0.0);

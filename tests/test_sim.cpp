@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <algorithm>
+#include <map>
 #include <random>
+#include <tuple>
+#include <utility>
 
 #include "common/error.hpp"
 #include "core/mva_exact.hpp"
@@ -76,22 +80,54 @@ TEST(EventEngine, RejectsPastScheduling) {
 }
 
 TEST(EventEngine, HeapStressMatchesSortedReference) {
-  // Push a few thousand events with random times (duplicates included) and
-  // check the 4-ary heap drains them in exactly stable-sorted order.
+  // A few thousand events of random op and coarse time, so simultaneous
+  // events land in both the think and the service heap; handlers that
+  // reschedule 0-2 events per dispatch (the pop-then-push hold pattern);
+  // step() calls interleaved with run_until boundaries.  The reference is
+  // a multimap keyed by time: it keeps equal times in insertion order, so
+  // its front is the stable-sorted next event.  Every dispatch must match
+  // it, and so must the pending count at every boundary.
   EventEngine eng;
   std::mt19937_64 gen(12345);
   std::uniform_int_distribution<int> coarse(0, 99);
-  std::vector<std::pair<double, std::uint32_t>> expected;
-  for (std::uint32_t i = 0; i < 5000; ++i) {
-    const double t = static_cast<double>(coarse(gen)) * 0.25;
-    eng.schedule(t, EventOp::kTick, i);
-    expected.push_back({t, i});
+  std::uniform_int_distribution<int> any_op(0, 3);
+  std::uniform_int_distribution<int> fanout(0, 2);
+  std::uniform_int_distribution<int> steps(0, 3);
+  std::multimap<double, std::pair<EventOp, std::uint32_t>> reference;
+  std::uint32_t next_id = 0;
+  const auto add = [&](double delay) {
+    const auto op = static_cast<EventOp>(any_op(gen));
+    reference.emplace(eng.now() + delay, std::pair{op, next_id});
+    eng.schedule(delay, op, next_id++);
+  };
+  for (int i = 0; i < 5000; ++i) add(coarse(gen) * 0.25);
+
+  using Dispatched = std::tuple<double, EventOp, std::uint32_t>;
+  std::vector<Dispatched> seen;
+  std::vector<Dispatched> expected;
+  const auto dispatch = [&](const Event& ev) {
+    ASSERT_FALSE(reference.empty());
+    const auto front = reference.begin();
+    expected.emplace_back(front->first, front->second.first,
+                          front->second.second);
+    reference.erase(front);
+    seen.emplace_back(ev.time, ev.op, ev.a);
+    if (next_id >= 20000) return;
+    for (int k = fanout(gen); k > 0; --k) add(coarse(gen) * 0.25);
+  };
+  std::size_t boundaries = 0;
+  while (!reference.empty()) {
+    for (int k = steps(gen); k > 0; --k) eng.step(dispatch);
+    ASSERT_EQ(eng.pending_events(), reference.size());
+    // Boundaries on a 1/256 grid: some fall exactly on event times.
+    eng.run_until(eng.now() + coarse(gen) * (0.25 / 64), dispatch);
+    ASSERT_EQ(eng.pending_events(), reference.size());
+    ++boundaries;
   }
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::pair<double, std::uint32_t>> seen;
-  eng.run_until(1e9, [&](const Event& ev) { seen.push_back({ev.time, ev.a}); });
+  EXPECT_GT(boundaries, 100u);
+  EXPECT_EQ(seen.size(), next_id);
   EXPECT_EQ(seen, expected);
+  EXPECT_FALSE(eng.step(dispatch));
 }
 
 TEST(EventEngine, RunUntilStopsAtBoundary) {
@@ -379,6 +415,19 @@ TEST(ClosedNetworkSim, DeterministicThinkTimeSupported) {
   EXPECT_NEAR(r.throughput, 1.0 / 1.2, 0.02);
 }
 
+TEST(ClosedNetworkSim, HugeServerCountActsAsInfiniteServer) {
+  // A delay station modelled as FCFS with an enormous server count: no
+  // customer ever queues, so R = S and the mean number in service is X * S.
+  // At most N jobs are ever in service, so nothing may be sized by the
+  // server count itself.
+  const std::vector<SimStation> stations{
+      {"delay", std::numeric_limits<unsigned>::max()}};
+  const std::vector<SimVisit> flow{{0, 0.5}};
+  const auto r = simulate_closed_network(stations, flow, quick_options(20, 5));
+  EXPECT_NEAR(r.response_time, 0.5, 0.03);
+  EXPECT_NEAR(r.throughput, 20.0 / 1.5, 0.05 * 20.0 / 1.5);
+  EXPECT_NEAR(r.stations[0].mean_jobs, r.throughput * 0.5, 0.3);
+}
 
 TEST(ClosedNetworkSim, ResponsePercentilesOrderedAndBracketMean) {
   const std::vector<SimStation> stations{{"cpu", 1}};

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "core/prediction.hpp"
 #include "ops/bounds.hpp"
 #include "ops/demand_table_io.hpp"
+#include "parse_number.hpp"
 #include "workload/campaign.hpp"
 #include "workload/report.hpp"
 #include "workload/test_plan.hpp"
@@ -56,6 +58,17 @@ commands:
   std::exit(error != nullptr ? 2 : 0);
 }
 
+/// Parse an option value as exactly a T (see tools::parse_exact), or exit 2
+/// through usage() naming the option.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text) {
+  T out{};
+  if (tools::parse_exact(text, out)) return out;
+  usage(("option --" + key + " expects " + tools::expected_number<T>() +
+         ", got '" + text + "'")
+            .c_str());
+}
+
 /// Tiny --key value / --flag parser.
 class Args {
  public:
@@ -82,18 +95,17 @@ class Args {
     usage(("missing required option --" + key).c_str());
   }
 
-  double num(const std::string& key,
-             std::optional<double> fallback = std::nullopt) const {
+  /// The option's value as a T (double, or the integer type it is used
+  /// as); see parse_number.
+  template <typename T>
+  T num(const std::string& key,
+        std::optional<T> fallback = std::nullopt) const {
     const auto it = values_.find(key);
     if (it == values_.end()) {
       if (fallback) return *fallback;
       usage(("missing required option --" + key).c_str());
     }
-    try {
-      return std::stod(it->second);
-    } catch (const std::exception&) {
-      usage(("option --" + key + " expects a number").c_str());
-    }
+    return parse_number<T>(key, it->second);
   }
 
   std::vector<unsigned> levels(const std::string& key) const {
@@ -103,7 +115,7 @@ class Args {
     std::string cell;
     std::istringstream is(it->second);
     while (std::getline(is, cell, ',')) {
-      out.push_back(static_cast<unsigned>(std::stoul(cell)));
+      out.push_back(parse_number<unsigned>(key, cell));
     }
     return out;
   }
@@ -113,16 +125,16 @@ class Args {
 };
 
 int cmd_plan(const Args& args) {
-  const auto lo = static_cast<unsigned>(args.num("min", 1.0));
-  const auto hi = static_cast<unsigned>(args.num("max"));
-  const auto points = static_cast<std::size_t>(args.num("points"));
+  const auto lo = args.num<unsigned>("min", 1u);
+  const auto hi = args.num<unsigned>("max");
+  const auto points = args.num<std::size_t>("points");
   const std::string strategy = args.str("strategy", std::string("chebyshev"));
   workload::SamplingStrategy s = workload::SamplingStrategy::kChebyshev;
   if (strategy == "equispaced") s = workload::SamplingStrategy::kEquispaced;
   else if (strategy == "random") s = workload::SamplingStrategy::kRandom;
   else if (strategy != "chebyshev") usage("unknown --strategy");
   const auto levels = workload::plan_concurrency_levels(
-      lo, hi, points, s, static_cast<std::uint64_t>(args.num("seed", 1.0)),
+      lo, hi, points, s, args.num<std::uint64_t>("seed", 1u),
       args.has("include-single-user"));
   std::printf("# %s plan over [%u, %u]\n", strategy.c_str(), lo, hi);
   for (unsigned u : levels) std::printf("%u\n", u);
@@ -142,8 +154,8 @@ int cmd_simulate(const Args& args) {
                                 : apps::jpetstore_campaign_levels();
   }
   workload::CampaignSettings settings;
-  settings.grinder.duration_s = args.num("duration", 600.0);
-  settings.seed = static_cast<std::uint64_t>(args.num("seed", 20160101.0));
+  settings.grinder.duration_s = args.num<double>("duration", 600.0);
+  settings.seed = args.num<std::uint64_t>("seed", 20160101u);
   std::printf("running %zu simulated load tests of %s ...\n", levels.size(),
               app.name().c_str());
   const auto campaign = workload::run_campaign(app, levels, settings);
@@ -166,10 +178,11 @@ int cmd_predict(const Args& args) {
   } else if (axis_name != "concurrency") {
     usage("unknown --axis (concurrency|throughput)");
   }
-  const auto table = ops::load_demand_table_file(args.str("campaign"));
-  const double think = args.num("think");
-  const auto max_users = static_cast<unsigned>(args.num("max-users"));
+  const double think = args.num<double>("think");
+  const auto max_users = args.num<unsigned>("max-users");
+  const auto step = args.num<unsigned>("step", max_users / 12);
   const std::string model = args.str("model", std::string("mvasd"));
+  const auto table = ops::load_demand_table_file(args.str("campaign"));
 
   // Map the CLI model name to a declarative spec, then hand everything to
   // the core::solve facade.
@@ -180,14 +193,13 @@ int cmd_predict(const Args& args) {
     spec = core::mvasd_single_server_scenario(model, table, think, max_users);
   } else if (model == "mva-fixed") {
     spec = core::mva_fixed_scenario(model, table, think, max_users,
-                                    args.num("at-concurrency"));
+                                    args.num<double>("at-concurrency"));
   } else {
     usage("unknown --model (mvasd|mvasd-ss|mva-fixed)");
   }
   const core::MvaResult result =
       core::solve(spec.network, spec.demands, spec.options);
 
-  const auto step = static_cast<unsigned>(args.num("step", max_users / 12.0));
   TextTable t("Prediction (" + model + ")");
   t.set_header({"Users", "X (tx/s)", "R (s)", "R+Z (s)"});
   for (unsigned n = 1; n <= max_users;
@@ -213,9 +225,9 @@ int cmd_predict(const Args& args) {
 }
 
 int cmd_bounds(const Args& args) {
+  const double think = args.num<double>("think");
+  const double users = args.num<double>("users");
   const auto table = ops::load_demand_table_file(args.str("campaign"));
-  const double think = args.num("think");
-  const double users = args.num("users");
   const auto demands = table.demands_at_concurrency(1.0);
   std::vector<double> effective(demands);
   for (std::size_t k = 0; k < effective.size(); ++k) {
@@ -243,8 +255,8 @@ int cmd_bounds(const Args& args) {
 }
 
 int cmd_describe(const Args& args) {
+  const double think = args.num<double>("think");
   const auto table = ops::load_demand_table_file(args.str("campaign"));
-  const double think = args.num("think");
   const auto net = core::network_from_table(table, think);
   std::printf("%s\n", core::network_ascii(net).c_str());
   std::printf("measured levels:");

@@ -30,21 +30,18 @@
 // lines; the process keeps serving.  Metrics lines report cache
 // hits/misses/evictions, solve-latency percentiles, batch occupancy,
 // and — on the socket transport — admission/shedding counters.
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
-#include <system_error>
 #include <variant>
 
 #include "common/socket.hpp"
+#include "parse_number.hpp"
 #include "service/engine.hpp"
 #include "service/json.hpp"
 #include "service/request.hpp"
@@ -185,22 +182,14 @@ int serve_socket(service::ServerOptions options) {
   return 0;
 }
 
-/// Parse a flag's value as a decimal integer of exactly `out`'s type, or
-/// exit 2 naming the flag.  std::from_chars rejects a sign on unsigned
-/// types and reports values outside the type's range; trailing characters
-/// ("2x", "1.5") are rejected too.
+/// Parse a flag's value as exactly `out`'s type (see tools::parse_exact),
+/// or exit 2 naming the flag.
 template <typename T>
 void parse_flag(const std::string& flag, const char* text, T& out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out);
-  if (ec != std::errc{} || ptr != end) {
-    std::fprintf(stderr,
-                 "error: %s expects an integer in [%s, %s], got '%s'\n",
-                 flag.c_str(),
-                 std::to_string(std::numeric_limits<T>::min()).c_str(),
-                 std::to_string(std::numeric_limits<T>::max()).c_str(), text);
-    std::exit(2);
-  }
+  if (tools::parse_exact(text, out)) return;
+  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", flag.c_str(),
+               tools::expected_number<T>().c_str(), text);
+  std::exit(2);
 }
 
 }  // namespace
