@@ -9,11 +9,8 @@
 #include <chrono>
 
 #include "bench_util.hpp"
-#include "core/mva_approx_multiserver.hpp"
-#include "core/mvasd.hpp"
-#include "core/mva_load_dependent.hpp"
 #include "core/prediction.hpp"
-#include "core/seidmann.hpp"
+#include "core/solve.hpp"
 
 int main() {
   using namespace mtperf;
@@ -25,6 +22,8 @@ int main() {
   const auto& table = campaign.table;
   const auto network = core::network_from_table(table, think);
   const auto model = core::DemandModel::from_table(table);
+  const auto at_140 =
+      core::DemandModel::constant(table.demands_at_concurrency(140.0));
 
   struct Row {
     std::string name;
@@ -32,31 +31,22 @@ int main() {
     double micros = 0.0;
   };
   std::vector<Row> rows;
-  auto timed = [&](const std::string& name, auto&& solve) {
+  auto timed = [&](const std::string& name, const core::DemandModel& demands,
+                   core::SolverKind kind) {
     const auto t0 = std::chrono::steady_clock::now();
-    core::MvaResult r = solve();
+    core::MvaResult r = core::solve(network, demands, {kind, max_users});
     const auto t1 = std::chrono::steady_clock::now();
     rows.push_back(Row{
         name, std::move(r),
         std::chrono::duration<double, std::micro>(t1 - t0).count()});
   };
 
-  timed("MVASD (exact multi-server)",
-        [&] { return core::mvasd(network, model, max_users); });
-  timed("approx MVASD (Schweitzer + M/M/C)",
-        [&] { return core::approx_mvasd(network, model, max_users); });
-  timed("Seidmann + exact MVA (D@140)", [&] {
-    return core::seidmann_mva(network, table.demands_at_concurrency(140.0),
-                              max_users);
-  });
-  timed("load-dependent exact MVA (D@140)", [&] {
-    std::vector<core::RateMultiplier> rates;
-    for (const auto& st : network.stations()) {
-      rates.push_back(core::multiserver_rate(st.servers));
-    }
-    return core::load_dependent_mva(
-        network, table.demands_at_concurrency(140.0), rates, max_users);
-  });
+  timed("MVASD (exact multi-server)", model, core::SolverKind::kMvasd);
+  timed("approx MVASD (Schweitzer + M/M/C)", model,
+        core::SolverKind::kApproxMultiserver);
+  timed("Seidmann + exact MVA (D@140)", at_140, core::SolverKind::kSeidmann);
+  timed("load-dependent exact MVA (D@140)", at_140,
+        core::SolverKind::kLoadDependent);
 
   TextTable t("Accuracy and cost per full 1..280 solve");
   t.set_header({"Solver", "X dev %", "R+Z dev %", "solve time (us)"});

@@ -26,8 +26,9 @@ int main() {
       workload::run_campaign(app, train_levels, bench::standard_settings());
 
   // Model-based: MVASD from the truncated campaign.
-  const auto mvasd =
-      core::predict_mvasd(train.table, think, apps::kJPetStoreMaxUsers);
+  const auto spec = core::mvasd_scenario("MVASD", train.table, think,
+                                         apps::kJPetStoreMaxUsers);
+  const auto mvasd = core::solve(spec.network, spec.demands, spec.options);
 
   // Black-box: fit the measured throughput series, extrapolate.
   std::vector<double> tx = train.table.concurrency_series();

@@ -9,7 +9,7 @@
 
 #include "bench_util.hpp"
 #include "core/prediction.hpp"
-#include "core/mvasd.hpp"
+#include "core/solve.hpp"
 #include "interp/linear.hpp"
 #include "interp/pchip.hpp"
 #include "interp/smoothing_spline.hpp"
@@ -63,7 +63,8 @@ int main() {
       interpolants.push_back(build(table.demand_vs_concurrency(k)));
     }
     const auto model = core::DemandModel::interpolated(std::move(interpolants));
-    const auto result = core::mvasd(network, model, max_users);
+    const auto result =
+        core::solve(network, model, {core::SolverKind::kMvasd, max_users});
     const auto report =
         core::deviation_against_measurements(name, result, table, think);
     dev.add_row({name, fmt(report.throughput_deviation_pct, 2),

@@ -6,7 +6,8 @@
 // correction factor F_k is built from.  As concurrency grows the
 // probabilities converge to their saturation fixed point.
 #include "bench_util.hpp"
-#include "core/mva_multiserver.hpp"
+#include "core/demand_model.hpp"
+#include "core/detail/multiserver_engine.hpp"
 #include "core/network.hpp"
 
 int main() {
@@ -18,12 +19,15 @@ int main() {
   // plus user think time — the setting of the paper's illustration.
   const core::ClosedNetwork net(
       {core::Station{"cpu", 1.0, 4, core::StationKind::kQueueing}}, 1.0);
-  const std::vector<double> demand{0.05};
+  const auto demand = core::DemandModel::constant({0.05});
   const unsigned max_users = 120;
 
-  core::MarginalProbabilityTrace trace;
+  // The marginals are internal state of the recursion, so this bench runs
+  // the Algorithm 2 engine directly instead of core::solve.
+  core::detail::MarginalTrace trace;
+  trace.station = net.index_of("cpu");
   const auto result =
-      core::exact_multiserver_mva_traced(net, demand, max_users, "cpu", trace);
+      core::detail::run_multiserver_mva(net, demand, max_users, &trace);
 
   TextTable table("P(j busy cores) after the population-n update");
   table.set_header({"Users", "P(0)", "P(1)", "P(2)", "P(3)", "CPU util",

@@ -15,8 +15,9 @@ int main() {
 
   const auto campaign = bench::run_jpetstore_campaign();
   const double think = 1.0;
-  const auto prediction =
-      core::predict_mvasd(campaign.table, think, apps::kJPetStoreMaxUsers);
+  const auto spec = core::mvasd_scenario("MVASD", campaign.table, think,
+                                         apps::kJPetStoreMaxUsers);
+  const auto prediction = core::solve(spec.network, spec.demands, spec.options);
 
   const auto& table = campaign.table;
   const auto levels = table.concurrency_series();

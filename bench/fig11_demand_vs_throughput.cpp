@@ -44,15 +44,16 @@ int main() {
                    {"throughput_txps", "demand_ms"}, {xs, ys});
 
   // Prediction accuracy: concurrency axis vs throughput axis.
-  const auto by_n = core::deviation_against_measurements(
-      "MVASD (vs concurrency)",
-      core::predict_mvasd(campaign.table, think, max_users),
-      campaign.table, think);
-  const auto by_x = core::deviation_against_measurements(
-      "MVASD (vs throughput)",
-      core::predict_mvasd(campaign.table, think, max_users,
-                          core::DemandModel::Axis::kThroughput),
-      campaign.table, think);
+  const auto deviation = [&](const core::ScenarioSpec& spec) {
+    return core::deviation_against_measurements(
+        spec.label, core::solve(spec.network, spec.demands, spec.options),
+        campaign.table, think);
+  };
+  const auto by_n = deviation(core::mvasd_scenario(
+      "MVASD (vs concurrency)", campaign.table, think, max_users));
+  const auto by_x = deviation(core::mvasd_scenario(
+      "MVASD (vs throughput)", campaign.table, think, max_users,
+      core::DemandModel::Axis::kThroughput));
 
   TextTable dev("Prediction deviation by demand-interpolation axis");
   dev.set_header({"Model", "Throughput dev %", "Cycle time dev %"});

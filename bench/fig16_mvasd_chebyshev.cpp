@@ -18,19 +18,20 @@ int main() {
   // Reference: the dense Table 3 campaign provides the measured series.
   const auto dense = bench::run_jpetstore_campaign();
 
-  std::vector<core::LabeledResult> models;
+  std::vector<core::ScenarioSpec> scenarios;
   for (std::size_t nodes : {3u, 5u, 7u}) {
     const auto levels = workload::plan_concurrency_levels(
         1, 300, nodes, workload::SamplingStrategy::kChebyshev, 1,
         /*include_single_user=*/true);
     const auto campaign =
         workload::run_campaign(app, levels, bench::standard_settings());
-    models.push_back(core::LabeledResult{
-        "Chebyshev " + std::to_string(nodes),
-        core::predict_mvasd(campaign.table, think, max_users)});
+    scenarios.push_back(core::mvasd_scenario(
+        "Chebyshev " + std::to_string(nodes), campaign.table, think,
+        max_users));
   }
-  models.push_back(core::LabeledResult{
-      "Dense (8 pts)", core::predict_mvasd(dense.table, think, max_users)});
+  scenarios.push_back(
+      core::mvasd_scenario("Dense (8 pts)", dense.table, think, max_users));
+  const auto models = core::run_scenarios(scenarios);
 
   bench::print_model_comparison(dense, think, models,
                                 "fig16_mvasd_chebyshev.csv");

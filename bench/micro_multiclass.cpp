@@ -2,7 +2,7 @@
 //
 // Part 1 — growing mixes: three customer classes over a cpu+disk pair,
 // per-class population doubling from 8 to 128.  The exact recursion
-// (exact_multiclass_series) walks the full population-vector lattice
+// (exact-multiclass) walks the full population-vector lattice
 // (prod_c (N_c+1) states), so its cost explodes with the mix; MoM runs the
 // RECAL moment recursion whose state count depends only on the number of
 // queueing stations.  Both are exact, so every feasible mix doubles as a
@@ -66,10 +66,11 @@ double min_over_reps(int reps, const std::function<void()>& body) {
   return best;
 }
 
-core::MvaResult solve_mom(const core::ClosedNetwork& network,
+core::MvaResult solve_mix(core::SolverKind kind,
+                          const core::ClosedNetwork& network,
                           std::vector<core::CustomerClass> classes) {
   core::SolveOptions options;
-  options.solver = core::SolverKind::kMomMulticlass;
+  options.solver = kind;
   options.classes = std::move(classes);
   core::finalize_multiclass_options(options);
   return core::solve(network, nullptr, options);
@@ -110,12 +111,15 @@ int main() {
     const int reps = per_class <= 32 ? 3 : 1;
 
     core::MvaResult exact;
-    row.exact_ms = min_over_reps(
-        reps, [&] { exact = core::exact_multiclass_series(network, classes); });
+    row.exact_ms = min_over_reps(reps, [&] {
+      exact = solve_mix(core::SolverKind::kExactMulticlass, network, classes);
+    });
     const std::size_t top = exact.levels() - 1;
 
     core::MvaResult mom;
-    row.mom_ms = min_over_reps(reps, [&] { mom = solve_mom(network, classes); });
+    row.mom_ms = min_over_reps(reps, [&] {
+      mom = solve_mix(core::SolverKind::kMomMulticlass, network, classes);
+    });
 
     for (std::size_t c = 0; c < classes.size(); ++c) {
       const double x_exact = exact.class_x(top, c);
@@ -140,12 +144,14 @@ int main() {
     const auto classes = make_mix(row.per_class);
     bool exact_refused = false;
     try {
-      (void)core::exact_multiclass_series(network, classes);
+      (void)solve_mix(core::SolverKind::kExactMulticlass, network, classes);
     } catch (const Error&) {
       exact_refused = true;
     }
     core::MvaResult mom;
-    row.mom_ms = time_ms([&] { mom = solve_mom(network, classes); });
+    row.mom_ms = time_ms([&] {
+      mom = solve_mix(core::SolverKind::kMomMulticlass, network, classes);
+    });
     parity_ok = parity_ok && exact_refused && mom.throughput[0] > 0.0;
     rows.push_back(row);
   }

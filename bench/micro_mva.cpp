@@ -25,11 +25,10 @@
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
 #include "core/demand_model.hpp"
-#include "core/mva_exact.hpp"
-#include "core/mva_load_dependent.hpp"
-#include "core/mva_multiserver.hpp"
-#include "core/mva_schweitzer.hpp"
-#include "core/mvasd.hpp"
+#include "core/detail/multiserver_engine.hpp"
+#include "core/detail/mva_exact.hpp"
+#include "core/detail/mva_load_dependent.hpp"
+#include "core/detail/mva_schweitzer.hpp"
 #include "core/network.hpp"
 #include "interp/cubic_spline.hpp"
 
@@ -202,7 +201,7 @@ void BM_ExactMva(benchmark::State& state) {
   const auto net = make_net(k, 1);
   const auto demands = make_demands(k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::exact_mva(net, demands, n));
+    benchmark::DoNotOptimize(core::detail::exact_mva(net, demands, n));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -214,7 +213,7 @@ void BM_SchweitzerMva(benchmark::State& state) {
   const auto net = make_net(12, 1);
   const auto demands = make_demands(12);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::schweitzer_mva(net, demands, n));
+    benchmark::DoNotOptimize(core::detail::schweitzer_mva(net, demands, n));
   }
 }
 BENCHMARK(BM_SchweitzerMva)->Arg(100)->Arg(1000);
@@ -222,9 +221,9 @@ BENCHMARK(BM_SchweitzerMva)->Arg(100)->Arg(1000);
 void BM_MultiServerMva(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const auto net = make_net(12, 16);
-  const auto demands = make_demands(12);
+  const auto model = core::DemandModel::constant(make_demands(12));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::exact_multiserver_mva(net, demands, n));
+    benchmark::DoNotOptimize(core::detail::run_multiserver_mva(net, model, n));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -235,12 +234,13 @@ void BM_LoadDependentMva(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const auto net = make_net(12, 16);
   const auto demands = make_demands(12);
-  std::vector<core::RateMultiplier> rates;
+  std::vector<core::detail::RateMultiplier> rates;
   for (std::size_t k = 0; k < 12; ++k) {
-    rates.push_back(core::multiserver_rate(k % 3 == 0 ? 16 : 1));
+    rates.push_back(core::detail::multiserver_rate(k % 3 == 0 ? 16 : 1));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::load_dependent_mva(net, demands, rates, n));
+    benchmark::DoNotOptimize(
+        core::detail::load_dependent_mva(net, demands, rates, n));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -256,7 +256,7 @@ void BM_Mvasd(benchmark::State& state) {
   const auto net = make_net(k, 16);
   const auto model = make_spline_demands(k, n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::mvasd(net, model, n));
+    benchmark::DoNotOptimize(core::detail::run_multiserver_mva(net, model, n));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -393,7 +393,11 @@ void write_solver_json() {
   const auto model = make_spline_demands(kStations, kPop);
 
   const double grid_ms = time_ms(
-      [&] { benchmark::DoNotOptimize(core::mvasd(net, model, kPop)); }, 20);
+      [&] {
+        benchmark::DoNotOptimize(
+            core::detail::run_multiserver_mva(net, model, kPop));
+      },
+      20);
   const double seed_ms = time_ms(
       [&] { benchmark::DoNotOptimize(seed_style_mvasd(net, model, kPop)); },
       20);

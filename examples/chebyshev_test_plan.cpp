@@ -55,6 +55,6 @@ int main() {
   }
   std::printf("Run each test, monitor CPU/disk/network with vmstat / iostat /\n"
               "netstat, then feed the utilization table to "
-              "core::predict_mvasd().\n");
+              "core::mvasd_scenario() and core::solve().\n");
   return 0;
 }

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "core/mva_multiclass.hpp"
-#include "core/mva_schweitzer.hpp"
 #include "core/network.hpp"
 #include "core/result.hpp"
 #include "core/solve.hpp"

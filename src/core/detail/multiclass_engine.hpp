@@ -1,7 +1,7 @@
-// Implementation engines behind the multiclass solver family
-// (core/mva_multiclass.hpp): shared validation, the exact population-vector
-// recursion, the per-level Schweitzer fixed point, and the RECAL
-// moment-recursion solver.  All engines emit the unified SoA MvaResult
+// Implementation engines behind the multiclass solver kinds of core::solve
+// (types in core/mva_multiclass.hpp): shared validation, the exact
+// population-vector recursion, the per-level Schweitzer fixed point, and the
+// RECAL moment-recursion solver.  All engines emit the unified SoA MvaResult
 // (with its multiclass extension) so the facade, the fingerprint cache,
 // and the serve protocol treat multiclass results like any other.
 #pragma once
@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "core/mva_multiclass.hpp"
-#include "core/mva_schweitzer.hpp"
 #include "core/network.hpp"
 #include "core/result.hpp"
+#include "core/solve.hpp"
 
 namespace mtperf::core::detail {
 

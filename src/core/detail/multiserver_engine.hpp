@@ -1,6 +1,17 @@
 // Internal engine shared by Algorithm 2 (exact multi-server MVA, constant
 // demands) and Algorithm 3 (MVASD, concurrency- or throughput-varying
-// demands).  Not part of the public API.
+// demands).  core::solve reaches it as SolverKind::kMvasd; not part of the
+// public API.
+//
+// MVASD is the paper's contribution: exact multi-server MVA in which each
+// station's service demand is not a constant but an *array* SS_k^n indexed
+// by concurrency, produced by spline interpolation of demands measured at a
+// few load-test points (Service Demand Law).  At every population n the
+// recursion re-evaluates the splines (Eq. 11), so the predicted
+// throughput/response-time slopes track the measured demand variation —
+// the effect plain MVA misses (paper Figs. 4-7).  A throughput-axis
+// DemandModel gives Section 7's variant: demands interpolated against
+// throughput and looked up with the previous iteration's X.
 #pragma once
 
 #include <cstddef>

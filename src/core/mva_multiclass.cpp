@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/detail/multiclass_engine.hpp"
 
 namespace mtperf::core {
 
@@ -53,44 +52,6 @@ unsigned multiclass_total_population(
   unsigned total = 0;
   for (const auto& c : classes) total += c.population;
   return total;
-}
-
-MvaResult exact_multiclass_series(const ClosedNetwork& network,
-                                  const std::vector<CustomerClass>& classes,
-                                  const MulticlassGrid* grid) {
-  detail::validate_multiclass(network, classes);
-  const unsigned total = multiclass_total_population(classes);
-  if (grid != nullptr) {
-    MTPERF_REQUIRE(grid->max_population() >= total,
-                   "multiclass demand grid shallower than the mix's total "
-                   "population");
-    return detail::exact_multiclass_engine(network, classes, *grid);
-  }
-  const MulticlassGrid local(network, classes, total);
-  return detail::exact_multiclass_engine(network, classes, local);
-}
-
-MvaResult mom_multiclass(const ClosedNetwork& network,
-                         const std::vector<CustomerClass>& classes) {
-  detail::validate_multiclass(network, classes);
-  return detail::mom_multiclass_engine(network, classes);
-}
-
-MvaResult schweitzer_multiclass_series(const ClosedNetwork& network,
-                                       const std::vector<CustomerClass>& classes,
-                                       const SchweitzerOptions& options,
-                                       const MulticlassGrid* grid) {
-  detail::validate_multiclass(network, classes);
-  const unsigned total = multiclass_total_population(classes);
-  if (grid != nullptr) {
-    MTPERF_REQUIRE(grid->max_population() >= total,
-                   "multiclass demand grid shallower than the mix's total "
-                   "population");
-    return detail::schweitzer_multiclass_engine(network, classes, options,
-                                                *grid);
-  }
-  const MulticlassGrid local(network, classes, total);
-  return detail::schweitzer_multiclass_engine(network, classes, options, local);
 }
 
 }  // namespace mtperf::core

@@ -1,24 +1,24 @@
-// Multi-class Mean Value Analysis.
+// Multi-class Mean Value Analysis: the customer-class types shared by the
+// multiclass solver kinds.
 //
 // The paper restricts itself to a single customer class ("the customers are
 // assumed to be indistinguishable"); real capacity studies usually need
 // classes — e.g. VINS's Renew Policy vs Read Policy users with different
-// demands and think times.  This module provides three solvers behind the
-// core::solve facade (SolverKind::{kExactMulticlass, kMomMulticlass,
-// kSchweitzerMulticlass}):
+// demands and think times.  core::solve runs three solvers over a
+// SolveOptions::classes mix (engines in core/detail/multiclass_engine.hpp):
 //
-//   * exact_multiclass_series — the canonical exact recursion over all
-//     population vectors n <= N (Reiser & Lavenberg).  Exponential in the
-//     number of classes; the small-mix oracle.
-//   * mom_multiclass — an exact Method-of-Moments-style solver: a RECAL
+//   * kExactMulticlass — the canonical exact recursion over all population
+//     vectors n <= N (Reiser & Lavenberg).  Exponential in the number of
+//     classes; the small-mix oracle.
+//   * kMomMulticlass — an exact Method-of-Moments-style solver: a RECAL
 //     (Conway–Georganas) recursion over normalizing-constant moments
 //     g_n(v), where v counts "extra tokens" per queueing station.  Time is
 //     O(R * C(N + M, M + 1)) for total population N over M queueing
 //     stations — polynomial in N for a fixed station count — so 3+-class
 //     mixes far beyond the exact recursion's 2^28 state-space guard stay
 //     solvable.  See DESIGN.md §13 for the recurrence.
-//   * schweitzer_multiclass_series — the multi-class Schweitzer fixed
-//     point, for mixes beyond even the moment recursion's budget.
+//   * kSchweitzerMulticlass — the multi-class Schweitzer fixed point, for
+//     mixes beyond even the moment recursion's budget.
 //
 // Per-class service demands may vary with the *total* concurrency (the
 // paper's core idea, extended classwise): each class carries either a
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/demand_model.hpp"
-#include "core/mva_schweitzer.hpp"
 #include "core/network.hpp"
 #include "core/result.hpp"
 
@@ -103,34 +102,5 @@ std::size_t multiclass_axis_class(const std::vector<CustomerClass>& classes);
 
 /// Total population of the mix (sum over classes).
 unsigned multiclass_total_population(const std::vector<CustomerClass>& classes);
-
-/// Exact multi-class MVA (Reiser & Lavenberg): recursion over all
-/// population vectors n <= N.  Time and memory are proportional to
-/// K * prod_c (N_c + 1) — guarded at 2^28 states; use mom_multiclass (still
-/// exact) or the Schweitzer variant past the guard.  Returns the axis
-/// series: level t solves the mix with the axis class at population t.
-/// `grid` optionally supplies pre-tabulated per-class demands (to >= the
-/// mix's total population); null tabulates locally.
-MvaResult exact_multiclass_series(const ClosedNetwork& network,
-                                  const std::vector<CustomerClass>& classes,
-                                  const MulticlassGrid* grid = nullptr);
-
-/// Exact Method-of-Moments-style solver (RECAL recursion over normalizing-
-/// constant moments).  Polynomial in total population for a fixed station
-/// count; requires constant per-class demands (the moment recursion has no
-/// concurrency-varying product form).  Returns a single result level — the
-/// full mix — with population[0] set to the mix's total population.
-MvaResult mom_multiclass(const ClosedNetwork& network,
-                         const std::vector<CustomerClass>& classes);
-
-/// Multi-class Schweitzer approximation, one cold-started fixed point per
-/// axis level:
-///   Q_{c,k}(N - e_c) ~= Q_{c,k}(N) (N_c - 1)/N_c + sum_{d != c} Q_{d,k}(N).
-/// Throws mtperf::numeric_error naming the axis level when any level's
-/// fixed point exhausts options.max_iterations; the result's mc_iterations
-/// reports the largest iteration count any level needed.
-MvaResult schweitzer_multiclass_series(
-    const ClosedNetwork& network, const std::vector<CustomerClass>& classes,
-    const SchweitzerOptions& options = {}, const MulticlassGrid* grid = nullptr);
 
 }  // namespace mtperf::core

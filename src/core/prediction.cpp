@@ -1,7 +1,6 @@
 #include "core/prediction.hpp"
 
 #include "common/stats.hpp"
-#include "core/solve.hpp"
 
 namespace mtperf::core {
 
@@ -48,32 +47,6 @@ ScenarioSpec mva_fixed_scenario(std::string label,
   spec.options.solver = SolverKind::kMvasd;
   spec.options.max_population = max_population;
   return spec;
-}
-
-MvaResult predict_mvasd(const ops::DemandTable& table, double think_time,
-                        unsigned max_population, DemandModel::Axis axis,
-                        const interp::CubicSplineOptions& spline) {
-  const ScenarioSpec spec =
-      mvasd_scenario("MVASD", table, think_time, max_population, axis, spline);
-  return solve(spec.network, &spec.demands, spec.options);
-}
-
-MvaResult predict_mvasd_single_server(const ops::DemandTable& table,
-                                      double think_time,
-                                      unsigned max_population,
-                                      const interp::CubicSplineOptions& spline) {
-  const ScenarioSpec spec = mvasd_single_server_scenario(
-      "MVASD: Single-Server", table, think_time, max_population, spline);
-  return solve(spec.network, &spec.demands, spec.options);
-}
-
-MvaResult predict_mva_fixed(const ops::DemandTable& table, double think_time,
-                            unsigned max_population,
-                            double demand_source_concurrency) {
-  const ScenarioSpec spec =
-      mva_fixed_scenario("MVA", table, think_time, max_population,
-                         demand_source_concurrency);
-  return solve(spec.network, &spec.demands, spec.options);
 }
 
 DeviationReport deviation_against_measurements(const std::string& model,

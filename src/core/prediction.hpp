@@ -31,37 +31,25 @@ struct DeviationReport {
 ClosedNetwork network_from_table(const ops::DemandTable& table,
                                  double think_time);
 
-/// MVASD prediction from a campaign: spline the per-station demands over
-/// the chosen axis and run Algorithm 3 up to max_population.
-MvaResult predict_mvasd(const ops::DemandTable& table, double think_time,
-                        unsigned max_population,
-                        DemandModel::Axis axis = DemandModel::Axis::kConcurrency,
-                        const interp::CubicSplineOptions& spline = {});
-
-/// Fig. 8 baseline: same splined demands, single-server normalization.
-MvaResult predict_mvasd_single_server(
-    const ops::DemandTable& table, double think_time, unsigned max_population,
-    const interp::CubicSplineOptions& spline = {});
-
-/// "MVA i" baseline (Figs. 4, 6, 7): Algorithm 2 with the *constant*
-/// demands measured at the campaign row closest to
-/// `demand_source_concurrency`.
-MvaResult predict_mva_fixed(const ops::DemandTable& table, double think_time,
-                            unsigned max_population,
-                            double demand_source_concurrency);
-
-/// Declarative forms of the predictions above: each returns a ScenarioSpec
-/// ready for run_scenarios() or service::Engine, so benches and examples
+/// The campaign predictions, as specs: each returns a ScenarioSpec ready
+/// for solve(), run_scenarios() or service::Engine, so benches and examples
 /// state *what* to evaluate and let the facade/engine decide how.
+///
+/// MVASD: spline the per-station demands over the chosen axis and run
+/// Algorithm 3 up to max_population.
 ScenarioSpec mvasd_scenario(std::string label, const ops::DemandTable& table,
                             double think_time, unsigned max_population,
                             DemandModel::Axis axis = DemandModel::Axis::kConcurrency,
                             const interp::CubicSplineOptions& spline = {});
 
+/// Fig. 8 baseline: same splined demands, single-server normalization.
 ScenarioSpec mvasd_single_server_scenario(
     std::string label, const ops::DemandTable& table, double think_time,
     unsigned max_population, const interp::CubicSplineOptions& spline = {});
 
+/// "MVA i" baseline (Figs. 4, 6, 7): Algorithm 2 with the *constant*
+/// demands measured at the campaign row closest to
+/// `demand_source_concurrency`.
 ScenarioSpec mva_fixed_scenario(std::string label,
                                 const ops::DemandTable& table,
                                 double think_time, unsigned max_population,

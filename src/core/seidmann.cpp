@@ -1,8 +1,6 @@
 #include "core/seidmann.hpp"
 
 #include "common/error.hpp"
-#include "core/mva_exact.hpp"
-#include "core/mva_schweitzer.hpp"
 
 namespace mtperf::core {
 
@@ -38,20 +36,6 @@ SeidmannTransform seidmann_transform(const ClosedNetwork& network,
   }
   return SeidmannTransform{ClosedNetwork(std::move(stations), network.think_time()),
                            std::move(times), std::move(queueing_leg)};
-}
-
-MvaResult seidmann_mva(const ClosedNetwork& network,
-                       std::span<const double> service_times,
-                       unsigned max_population) {
-  const SeidmannTransform t = seidmann_transform(network, service_times);
-  return exact_mva(t.network, t.service_times, max_population);
-}
-
-MvaResult seidmann_schweitzer_mva(const ClosedNetwork& network,
-                                  std::span<const double> service_times,
-                                  unsigned max_population) {
-  const SeidmannTransform t = seidmann_transform(network, service_times);
-  return schweitzer_mva(t.network, t.service_times, max_population);
 }
 
 }  // namespace mtperf::core

@@ -12,11 +12,13 @@
 #include <span>
 
 #include "core/network.hpp"
-#include "core/result.hpp"
 
 namespace mtperf::core {
 
-/// The transformed network and demands (exposed for tests/inspection).
+/// The transformed network and demands.  core::solve applies it for
+/// SolverKind::kSeidmann and kSeidmannSchweitzer; callers apply it
+/// themselves to feed multi-core stations to the multiclass kinds, which
+/// need single-server queueing stations.
 struct SeidmannTransform {
   ClosedNetwork network;
   std::vector<double> service_times;
@@ -26,17 +28,5 @@ struct SeidmannTransform {
 
 SeidmannTransform seidmann_transform(const ClosedNetwork& network,
                                      std::span<const double> service_times);
-
-/// Approximate multi-server MVA: Seidmann transform + exact single-server
-/// recursion (so the only approximation is the transform itself).
-MvaResult seidmann_mva(const ClosedNetwork& network,
-                       std::span<const double> service_times,
-                       unsigned max_population);
-
-/// The [19]-style combination: Seidmann transform + Schweitzer approximate
-/// MVA — the baseline whose compounding error MVASD avoids.
-MvaResult seidmann_schweitzer_mva(const ClosedNetwork& network,
-                                  std::span<const double> service_times,
-                                  unsigned max_population);
 
 }  // namespace mtperf::core

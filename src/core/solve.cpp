@@ -1,6 +1,7 @@
 #include "core/solve.hpp"
 
 #include <cstddef>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -8,10 +9,14 @@
 #include "core/detail/batch_engine.hpp"
 #include "core/detail/hierarchy_engine.hpp"
 #include "core/detail/multiclass_batch_engine.hpp"
-#include "core/mva_exact.hpp"
-#include "core/mva_multiserver.hpp"
-#include "core/mvasd.hpp"
-#include "core/seidmann.hpp"
+#include "core/detail/multiclass_engine.hpp"
+#include "core/detail/multiserver_engine.hpp"
+#include "core/detail/mva_approx_multiserver.hpp"
+#include "core/detail/mva_exact.hpp"
+#include "core/detail/mva_load_dependent.hpp"
+#include "core/detail/mva_schweitzer.hpp"
+#include "core/detail/mva_seidmann.hpp"
+#include "core/detail/mvasd_single_server.hpp"
 #include "core/sweep.hpp"
 
 namespace mtperf::core {
@@ -38,7 +43,7 @@ constexpr KindName kKindNames[] = {
     {SolverKind::kHierarchical, "hierarchical"},
 };
 
-/// Constant demands as the span the fixed-demand entry points take.
+/// Constant demands as the span the fixed-demand kernels take.
 std::vector<double> constant_demands(const DemandModel& demands,
                                      SolverKind kind) {
   MTPERF_REQUIRE(demands.is_constant(),
@@ -96,15 +101,27 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
             multiclass_axis_levels(options.solver, options.classes),
         "options.max_population must equal the multiclass axis depth "
         "(use finalize_multiclass_options)");
-    switch (options.solver) {
-      case SolverKind::kExactMulticlass:
-        return exact_multiclass_series(network, options.classes, class_grid);
-      case SolverKind::kMomMulticlass:
-        return mom_multiclass(network, options.classes);
-      default:
-        return schweitzer_multiclass_series(network, options.classes,
-                                            options.schweitzer, class_grid);
+    const std::vector<CustomerClass>& classes = options.classes;
+    detail::validate_multiclass(network, classes);
+    if (options.solver == SolverKind::kMomMulticlass) {
+      return detail::mom_multiclass_engine(network, classes);
     }
+    // The series kinds read per-class demand rows up to the mix's total
+    // population: borrow the caller's grid or tabulate one here.
+    const unsigned total = multiclass_total_population(classes);
+    std::optional<MulticlassGrid> local_grid;
+    if (class_grid != nullptr) {
+      MTPERF_REQUIRE(class_grid->max_population() >= total,
+                     "multiclass demand grid shallower than the mix's total "
+                     "population");
+    } else {
+      class_grid = &local_grid.emplace(network, classes, total);
+    }
+    if (options.solver == SolverKind::kExactMulticlass) {
+      return detail::exact_multiclass_engine(network, classes, *class_grid);
+    }
+    return detail::schweitzer_multiclass_engine(network, classes,
+                                                options.schweitzer, *class_grid);
   }
   MTPERF_REQUIRE(options.classes.empty(),
                  std::string("options.classes requires a multiclass solver "
@@ -118,42 +135,37 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
   const unsigned n = options.max_population;
   switch (options.solver) {
     case SolverKind::kExactSingleServer:
-      return exact_mva(network, constant_demands(*demands, options.solver), n);
+      return detail::exact_mva(network,
+                               constant_demands(*demands, options.solver), n);
     case SolverKind::kSchweitzer:
-      return schweitzer_mva(network,
-                            constant_demands(*demands, options.solver), n,
-                            options.schweitzer);
+      return detail::schweitzer_mva(
+          network, constant_demands(*demands, options.solver), n,
+          options.schweitzer);
     case SolverKind::kApproxMultiserver:
-      if (demands->is_constant()) {
-        return approx_multiserver_mva(network, demands->all_at(1.0), n,
-                                      options.approx);
-      }
-      return approx_mvasd(network, *demands, n, options.approx);
+      return detail::approx_mvasd(network, *demands, n, options.approx);
     case SolverKind::kLoadDependent: {
-      std::vector<RateMultiplier> rates = options.rates;
-      if (rates.empty()) {
-        rates.reserve(network.size());
-        for (const auto& st : network.stations()) {
-          rates.push_back(multiserver_rate(st.servers));
-        }
+      std::vector<detail::RateMultiplier> rates;
+      rates.reserve(network.size());
+      for (const auto& st : network.stations()) {
+        rates.push_back(detail::multiserver_rate(st.servers));
       }
-      MTPERF_REQUIRE(rates.size() == network.size(),
-                     "one rate multiplier per station required");
-      return load_dependent_mva(
+      return detail::load_dependent_mva(
           network, constant_demands(*demands, options.solver), rates, n);
     }
     case SolverKind::kMvasd:
       // Algorithm 3; with a constant model this is exactly Algorithm 2
       // (the same recursion over one demand row).
-      return mvasd(network, *demands, n, grid);
+      return detail::run_multiserver_mva(network, *demands, n,
+                                         /*trace=*/nullptr, grid);
     case SolverKind::kMvasdSingleServer:
-      return mvasd_single_server(network, *demands, n, grid);
+      return detail::mvasd_single_server(network, *demands, n, grid);
     case SolverKind::kSeidmann:
-      return seidmann_mva(network, constant_demands(*demands, options.solver),
-                          n);
-    case SolverKind::kSeidmannSchweitzer:
-      return seidmann_schweitzer_mva(
+      return detail::seidmann_mva(
           network, constant_demands(*demands, options.solver), n);
+    case SolverKind::kSeidmannSchweitzer:
+      return detail::seidmann_schweitzer_mva(
+          network, constant_demands(*demands, options.solver), n,
+          options.schweitzer);
     case SolverKind::kHierarchical:
       // Direct profile extraction; the scenario engine passes its own
       // evaluator so subnetwork profiles go through the fingerprint cache.

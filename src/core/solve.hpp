@@ -1,27 +1,23 @@
-// The unified solver facade: one entry point over the whole MVA family.
+// The unified solver facade: the one public entry point to the MVA family.
 //
-// Historically every solver was its own free function with its own
-// signature (constant demands as a span, varying demands as a DemandModel,
-// options structs here and there).  Capacity-planning callers — what-if
-// sweeps, Chebyshev test plans, the scenario-evaluation engine — want to
-// treat "which solver" as *data*, so this header folds all entry points
-// into a single declarative call:
+// Capacity-planning callers — what-if sweeps, Chebyshev test plans, the
+// scenario-evaluation engine — treat "which solver" as *data*, so every
+// solver is reached through a single declarative call:
 //
 //   MvaResult r = solve(network, &demands, {SolverKind::kMvasd, 1500});
 //
-// The legacy free functions (mvasd, exact_mva, exact_multiserver_mva, ...)
-// remain as thin wrappers; solve() forwards to them, so results are
-// bit-identical to the historical entry points.
+// solve() validates the request and dispatches to the per-solver kernel in
+// core/detail (one kernel per SolverKind); solve_batch() and
+// run_scenarios() (core/sweep.hpp) evaluate many specs at once, and the
+// *_scenario builders (core/prediction.hpp) turn a measurement campaign
+// into a spec.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "core/demand_model.hpp"
-#include "core/mva_approx_multiserver.hpp"
-#include "core/mva_load_dependent.hpp"
 #include "core/mva_multiclass.hpp"
-#include "core/mva_schweitzer.hpp"
 #include "core/network.hpp"
 #include "core/result.hpp"
 
@@ -35,12 +31,12 @@ struct ScenarioSpec;  // core/sweep.hpp
 
 /// Which member of the MVA family evaluates the scenario.
 enum class SolverKind {
-  kExactSingleServer,   ///< Algorithm 1 (exact_mva) — constant demands
-  kSchweitzer,          ///< Eq. 9 fixed point (schweitzer_mva) — constant
-  kApproxMultiserver,   ///< approx_multiserver_mva / approx_mvasd
-  kLoadDependent,       ///< full marginal recursion (load_dependent_mva)
-  kMvasd,               ///< Algorithms 2 and 3 (mvasd) — any demands
-  kMvasdSingleServer,   ///< Fig. 8 baseline (mvasd_single_server)
+  kExactSingleServer,   ///< Algorithm 1 — constant demands
+  kSchweitzer,          ///< Eq. 9 fixed point — constant demands
+  kApproxMultiserver,   ///< Schweitzer + M/M/C correction — any demands
+  kLoadDependent,       ///< full marginal recursion — constant demands
+  kMvasd,               ///< Algorithms 2 and 3 — any demands
+  kMvasdSingleServer,   ///< Fig. 8 baseline: demands / C_k — any demands
   kSeidmann,            ///< Seidmann transform + exact recursion — constant
   kSeidmannSchweitzer,  ///< Seidmann transform + Schweitzer — constant
   kExactMulticlass,     ///< exact population-vector recursion — small mixes
@@ -104,6 +100,19 @@ struct HierarchyOptions {
   HierarchyDetail detail = HierarchyDetail::kStations;
 };
 
+/// Fixed-point controls of the Schweitzer kinds (kSchweitzer,
+/// kSeidmannSchweitzer, kSchweitzerMulticlass).
+struct SchweitzerOptions {
+  double tolerance = 1e-10;     ///< max |Q_k change| convergence threshold
+  unsigned max_iterations = 10000;
+};
+
+/// Fixed-point controls of kApproxMultiserver.
+struct ApproxMultiserverOptions {
+  double tolerance = 1e-10;
+  unsigned max_iterations = 20000;
+};
+
 /// Everything a solver invocation needs beyond the network and demands.
 /// Aggregate-initializable: `{SolverKind::kMvasd, 1500}`.
 struct SolveOptions {
@@ -114,9 +123,6 @@ struct SolveOptions {
   /// recursions.
   SchweitzerOptions schweitzer{};
   ApproxMultiserverOptions approx{};
-  /// kLoadDependent only: per-station rate multipliers.  Empty selects the
-  /// multi-server law alpha_k(j) = min(j, C_k) derived from the network.
-  std::vector<RateMultiplier> rates{};
   /// Multiclass kinds only: the customer classes of the mix.  Must be
   /// empty for every other kind.  When set, `max_population` must equal
   /// multiclass_axis_levels(solver, classes) — the series solvers emit one
@@ -145,9 +151,10 @@ void finalize_multiclass_options(SolveOptions& options);
 /// `demands` must be non-null and match the network's station count.
 /// Solvers without a varying-demand variant (kExactSingleServer,
 /// kSchweitzer, kLoadDependent, kSeidmann*) require a constant model
-/// (DemandModel::constant); kApproxMultiserver dispatches to approx_mvasd
-/// for non-constant models, and kMvasd / kMvasdSingleServer accept any
-/// model (Algorithm 3 *is* Algorithm 2 with demand arrays).
+/// (DemandModel::constant); kApproxMultiserver, kMvasd and
+/// kMvasdSingleServer accept any model (Algorithm 3 *is* Algorithm 2 with
+/// demand arrays).  kLoadDependent uses the multi-server law
+/// alpha_k(j) = min(j, C_k) of each station.
 /// All validation failures throw mtperf::invalid_argument_error.
 ///
 /// `grid` optionally supplies an already-tabulated DemandGrid for `demands`

@@ -131,15 +131,12 @@ void mix_demands(Hasher& h, const core::DemandModel& demands) {
 }
 
 void mix_options(Hasher& h, const core::SolveOptions& options) {
-  MTPERF_REQUIRE(options.rates.empty(),
-                 "scenario fingerprints cannot cover custom rate-multiplier "
-                 "closures; use the default multi-server rates or call "
-                 "core::solve directly");
   h.mix(static_cast<std::uint64_t>(options.solver));
   // Only the controls the selected solver actually reads: unrelated
   // option noise must not split otherwise-identical cache keys.
   switch (options.solver) {
     case core::SolverKind::kSchweitzer:
+    case core::SolverKind::kSeidmannSchweitzer:
     case core::SolverKind::kSchweitzerMulticlass:
       h.mix(options.schweitzer.tolerance);
       h.mix(static_cast<std::uint64_t>(options.schweitzer.max_iterations));

@@ -54,9 +54,8 @@ struct FingerprintHash {
 /// implementations via a dense probe grid over their sampled range —
 /// near-exact in practice, collisions documented in DESIGN.md.
 ///
-/// Throws mtperf::invalid_argument_error for specs the engine cannot
-/// fingerprint (custom load-dependent rate multipliers, which are opaque
-/// closures).
+/// Throws mtperf::invalid_argument_error for a multiclass spec whose
+/// max_population is not its axis depth (see finalize_multiclass_options).
 Fingerprint fingerprint(const core::ScenarioSpec& spec);
 
 }  // namespace mtperf::service

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <tuple>
@@ -19,11 +20,15 @@
 #include "apps/vins.hpp"
 #include "common/error.hpp"
 #include "core/demand_model.hpp"
-#include "core/mva_exact.hpp"
-#include "core/mva_load_dependent.hpp"
-#include "core/mva_multiserver.hpp"
-#include "core/mva_schweitzer.hpp"
-#include "core/mvasd.hpp"
+#include "core/detail/hierarchy_engine.hpp"
+#include "core/detail/multiclass_engine.hpp"
+#include "core/detail/multiserver_engine.hpp"
+#include "core/detail/mva_approx_multiserver.hpp"
+#include "core/detail/mva_exact.hpp"
+#include "core/detail/mva_load_dependent.hpp"
+#include "core/detail/mva_schweitzer.hpp"
+#include "core/detail/mva_seidmann.hpp"
+#include "core/detail/mvasd_single_server.hpp"
 #include "core/network.hpp"
 #include "core/prediction.hpp"
 #include "core/seidmann.hpp"
@@ -33,6 +38,18 @@
 
 namespace mtperf::core {
 namespace {
+
+// The per-solver kernels behind core::solve are the references these tests
+// pin; SolveDispatch ties each SolverKind to its kernel.
+using detail::exact_mva;
+using detail::load_dependent_mva;
+using detail::multiserver_rate;
+using detail::mvasd_single_server;
+using detail::RateMultiplier;
+using detail::schweitzer_mva;
+using detail::seidmann_mva;
+using detail::seidmann_schweitzer_mva;
+using detail::single_server_rate;
 
 /// Birth-death oracle for the machine-repair model: N customers, think time
 /// Z (exponential), one station with C servers of mean service time S.
@@ -60,6 +77,29 @@ double machine_repair_throughput(unsigned n_customers, double z, double s,
 
 ClosedNetwork single_station(unsigned servers, double z) {
   return ClosedNetwork({Station{"st", 1.0, servers, StationKind::kQueueing}}, z);
+}
+
+/// Algorithm 2: the mvasd kind over constant demands.
+MvaResult exact_multiserver(const ClosedNetwork& network,
+                            const std::vector<double>& service_times,
+                            unsigned max_population) {
+  return solve(network, DemandModel::constant(service_times),
+               {SolverKind::kMvasd, max_population});
+}
+
+/// Algorithm 3 through the facade.
+MvaResult mvasd(const ClosedNetwork& network, const DemandModel& demands,
+                unsigned max_population) {
+  return solve(network, demands, {SolverKind::kMvasd, max_population});
+}
+
+/// Marginal probabilities P(j | n) of the network's first station.
+std::vector<std::vector<double>> marginal_trace(const ClosedNetwork& network,
+                                                const DemandModel& demands,
+                                                unsigned max_population) {
+  detail::MarginalTrace trace;
+  detail::run_multiserver_mva(network, demands, max_population, &trace);
+  return std::move(trace.rows);
 }
 
 // --------------------------------------------------------------- network
@@ -252,7 +292,7 @@ TEST(Schweitzer, RespectsAsymptoticBounds) {
 TEST(MultiServer, SingleServerReducesToExactMva) {
   const auto net = make_network({"a", "b"}, {1, 1}, 1.0);
   const std::vector<double> s{0.1, 0.25};
-  const auto ms = exact_multiserver_mva(net, s, 40);
+  const auto ms = exact_multiserver(net, s, 40);
   const auto ex = exact_mva(net, s, 40);
   for (std::size_t i = 0; i < ms.levels(); ++i) {
     EXPECT_NEAR(ms.throughput[i], ex.throughput[i], 1e-12);
@@ -268,7 +308,7 @@ TEST_P(MachineRepairMultiServer, MatchesBirthDeathOracle) {
   const auto net = single_station(servers, z);
   const std::vector<double> demands{s};
   const unsigned n_max = 4 * servers + 12;
-  const auto r = exact_multiserver_mva(net, demands, n_max);
+  const auto r = exact_multiserver(net, demands, n_max);
   for (unsigned n = 1; n <= n_max; ++n) {
     const double oracle = machine_repair_throughput(n, z, s, servers);
     EXPECT_NEAR(r.throughput[r.row_for(n)], oracle, 0.002 * oracle)
@@ -294,7 +334,7 @@ TEST(MultiServer, AgreesWithLoadDependentRecursion) {
   const std::vector<RateMultiplier> rates{multiserver_rate(8),
                                           multiserver_rate(1),
                                           multiserver_rate(4)};
-  const auto ms = exact_multiserver_mva(net, s, 150);
+  const auto ms = exact_multiserver(net, s, 150);
   const auto ld = load_dependent_mva(net, s, rates, 150);
   for (unsigned n : {1u, 5u, 20u, 60u, 100u, 150u}) {
     const double a = ms.throughput[ms.row_for(n)];
@@ -309,7 +349,7 @@ TEST(MultiServer, ThroughputMonotoneAndBottleneckBounded) {
        Station{"disk", 1.0, 1, StationKind::kQueueing}},
       1.0);
   const std::vector<double> s{0.08, 0.012};
-  const auto r = exact_multiserver_mva(net, s, 400);
+  const auto r = exact_multiserver(net, s, 400);
   double prev = 0.0;
   for (std::size_t i = 0; i < r.levels(); ++i) {
     // Near saturation the stabilized marginal-probability recursion can dip
@@ -326,12 +366,9 @@ TEST(MultiServer, ThroughputMonotoneAndBottleneckBounded) {
 
 TEST(MultiServer, MarginalTraceIsDistribution) {
   const auto net = single_station(4, 1.0);
-  const std::vector<double> s{0.5};
-  MarginalProbabilityTrace trace;
-  const auto r =
-      exact_multiserver_mva_traced(net, s, 60, "st", trace);
-  ASSERT_EQ(trace.rows.size(), 60u);
-  for (const auto& row : trace.rows) {
+  const auto rows = marginal_trace(net, DemandModel::constant({0.5}), 60);
+  ASSERT_EQ(rows.size(), 60u);
+  for (const auto& row : rows) {
     ASSERT_EQ(row.size(), 4u);
     double sum = 0.0;
     for (double p : row) {
@@ -341,16 +378,13 @@ TEST(MultiServer, MarginalTraceIsDistribution) {
     }
     EXPECT_LE(sum, 1.0 + 1e-9);
   }
-  (void)r;
 }
 
 TEST(MultiServer, MarginalsVanishAtSaturation) {
   // Saturated 4-core station: queueing dominates and P(j < C) -> 0.
   const auto net = single_station(4, 0.5);
-  const std::vector<double> s{1.0};
-  MarginalProbabilityTrace trace;
-  exact_multiserver_mva_traced(net, s, 100, "st", trace);
-  for (double p : trace.rows.back()) {
+  const auto rows = marginal_trace(net, DemandModel::constant({1.0}), 100);
+  for (double p : rows.back()) {
     EXPECT_NEAR(p, 0.0, 1e-6);
   }
 }
@@ -364,7 +398,7 @@ TEST(MultiServer, NormalizedSingleServerDistortsLightLoad) {
   // models share the C/S saturation ceiling.
   const auto ms_net = single_station(8, 1.0);
   const auto ss_net = single_station(1, 1.0);
-  const auto ms = exact_multiserver_mva(ms_net, std::vector<double>{0.8}, 200);
+  const auto ms = exact_multiserver(ms_net, std::vector<double>{0.8}, 200);
   const auto ss = exact_mva(ss_net, std::vector<double>{0.1}, 200);
   // At n <= C, the multi-server station has no queueing at all: R = S.
   EXPECT_NEAR(ms.response_time[ms.row_for(6)], 0.8, 0.01);
@@ -518,7 +552,7 @@ TEST(Mvasd, ConstantDemandsReproduceAlgorithm2Exactly) {
        Station{"disk", 1.0, 1, StationKind::kQueueing}},
       1.0);
   const std::vector<double> s{0.06, 0.015};
-  const auto fixed = exact_multiserver_mva(net, s, 120);
+  const auto fixed = exact_multiserver(net, s, 120);
   const auto varying = mvasd(net, DemandModel::constant(s), 120);
   for (std::size_t i = 0; i < fixed.levels(); ++i) {
     EXPECT_DOUBLE_EQ(fixed.throughput[i], varying.throughput[i]);
@@ -533,7 +567,7 @@ TEST(Mvasd, DecreasingDemandLiftsThroughputCeiling) {
           interp::SampleSet({1, 100, 200}, {0.02, 0.012, 0.01})));
   const auto adaptive = mvasd(net, DemandModel::interpolated({spline}), 300);
   const auto fixed =
-      exact_multiserver_mva(net, std::vector<double>{0.02}, 300);
+      exact_multiserver(net, std::vector<double>{0.02}, 300);
   // Constant-demand model saturates at 1/0.02 = 50; MVASD reaches ~1/0.01.
   EXPECT_NEAR(fixed.throughput.back(), 50.0, 0.5);
   EXPECT_GT(adaptive.throughput.back(), 90.0);
@@ -594,11 +628,9 @@ TEST(Mvasd, SingleServerNormalizationUnderestimatesMultiServerResponse) {
 
 TEST(Mvasd, TracedVariantExposesMarginals) {
   const auto net = single_station(4, 1.0);
-  MarginalProbabilityTrace trace;
-  const auto model = DemandModel::constant({0.4});
-  mvasd_traced(net, model, 30, "st", trace);
-  ASSERT_EQ(trace.rows.size(), 30u);
-  ASSERT_EQ(trace.rows.front().size(), 4u);
+  const auto rows = marginal_trace(net, DemandModel::constant({0.4}), 30);
+  ASSERT_EQ(rows.size(), 30u);
+  ASSERT_EQ(rows.front().size(), 4u);
 }
 
 // ---------------------------------------------------------- load-dependent
@@ -732,7 +764,7 @@ TEST(Seidmann, ApproximatesExactMultiServerReasonably) {
   const auto net = single_station(4, 2.0);
   const std::vector<double> s{1.0};
   const auto approx = seidmann_mva(net, s, 40);
-  const auto exact = exact_multiserver_mva(net, s, 40);
+  const auto exact = exact_multiserver(net, s, 40);
   for (unsigned n : {1u, 4u, 10u, 25u, 40u}) {
     const double a = approx.throughput[approx.row_for(n)];
     const double e = exact.throughput[exact.row_for(n)];
@@ -748,6 +780,122 @@ TEST(Seidmann, SchweitzerVariantRuns) {
   const auto r = seidmann_schweitzer_mva(net, s, 30);
   EXPECT_EQ(r.levels(), 30u);
   EXPECT_LE(r.throughput.back(), 4.0 + 1e-6);
+}
+
+// --------------------------------------------------------------- dispatch
+
+/// Every field a solver fills, compared with operator== (bit for bit up to
+/// the sign of zero).
+void expect_same_result(const MvaResult& got, const MvaResult& want) {
+  EXPECT_EQ(got.population, want.population);
+  EXPECT_EQ(got.throughput, want.throughput);
+  EXPECT_EQ(got.response_time, want.response_time);
+  EXPECT_EQ(got.cycle_time, want.cycle_time);
+  EXPECT_EQ(got.station_queue, want.station_queue);
+  EXPECT_EQ(got.station_utilization, want.station_utilization);
+  EXPECT_EQ(got.station_residence, want.station_residence);
+  EXPECT_EQ(got.station_names, want.station_names);
+  EXPECT_EQ(got.class_names, want.class_names);
+  EXPECT_EQ(got.class_population, want.class_population);
+  EXPECT_EQ(got.class_throughput, want.class_throughput);
+  EXPECT_EQ(got.class_response_time, want.class_response_time);
+  EXPECT_EQ(got.class_station_queue, want.class_station_queue);
+  EXPECT_EQ(got.mc_axis, want.mc_axis);
+  EXPECT_EQ(got.mc_iterations, want.mc_iterations);
+}
+
+TEST(SolveDispatch, EveryKindReachesItsKernel) {
+  // One row per SolverKind: solve() must return exactly what the kernel
+  // that kind names returns.  The fixed-point controls are non-default, so
+  // a kind that drops them (or reaches the wrong kernel) differs.
+  constexpr unsigned kN = 30;
+  const ClosedNetwork net({Station{"cpu", 1.0, 4, StationKind::kQueueing},
+                           Station{"disk", 1.0, 1, StationKind::kQueueing},
+                           Station{"lan", 1.0, 1, StationKind::kDelay}},
+                          1.0);
+  // The cpu saturates before kN (knee near N = 26); at lighter load the
+  // multi-server and load-dependent recursions agree bit for bit.
+  const std::vector<double> s{0.2, 0.03, 0.05};
+  const auto demands = DemandModel::constant(s);
+  // The multiclass kinds need single-server stations.
+  const auto mc_net = make_network({"cpu", "disk"}, {1, 1}, 1.0);
+  const std::vector<CustomerClass> classes{{"a", 4, 1.0, {0.05, 0.15}},
+                                           {"b", 6, 0.5, {0.02, 0.01}}};
+  const MulticlassGrid grid(mc_net, classes,
+                            multiclass_total_population(classes));
+
+  SolveOptions tuned{SolverKind::kMvasd, kN};
+  tuned.schweitzer = {1e-4, 500};
+  tuned.approx = {1e-4, 800};
+  tuned.hierarchy.tiers = {{"front", {0, 1}}};
+
+  struct Row {
+    SolverKind kind;
+    std::function<MvaResult()> kernel;
+  };
+  const std::vector<Row> rows{
+      {SolverKind::kExactSingleServer, [&] { return exact_mva(net, s, kN); }},
+      {SolverKind::kSchweitzer,
+       [&] { return schweitzer_mva(net, s, kN, tuned.schweitzer); }},
+      {SolverKind::kApproxMultiserver,
+       [&] { return detail::approx_mvasd(net, demands, kN, tuned.approx); }},
+      {SolverKind::kLoadDependent,
+       [&] {
+         return load_dependent_mva(
+             net, s,
+             {multiserver_rate(4), multiserver_rate(1), multiserver_rate(1)},
+             kN);
+       }},
+      {SolverKind::kMvasd,
+       [&] { return detail::run_multiserver_mva(net, demands, kN); }},
+      {SolverKind::kMvasdSingleServer,
+       [&] { return mvasd_single_server(net, demands, kN); }},
+      {SolverKind::kSeidmann, [&] { return seidmann_mva(net, s, kN); }},
+      {SolverKind::kSeidmannSchweitzer,
+       [&] { return seidmann_schweitzer_mva(net, s, kN, tuned.schweitzer); }},
+      {SolverKind::kExactMulticlass,
+       [&] { return detail::exact_multiclass_engine(mc_net, classes, grid); }},
+      {SolverKind::kMomMulticlass,
+       [&] { return detail::mom_multiclass_engine(mc_net, classes); }},
+      {SolverKind::kSchweitzerMulticlass,
+       [&] {
+         return detail::schweitzer_multiclass_engine(mc_net, classes,
+                                                     tuned.schweitzer, grid);
+       }},
+      {SolverKind::kHierarchical,
+       [&] {
+         SolveOptions hierarchical = tuned;
+         hierarchical.solver = SolverKind::kHierarchical;
+         return detail::solve_hierarchical(net, &demands, hierarchical);
+       }},
+  };
+  ASSERT_EQ(rows.size(), 12u);
+
+  std::vector<MvaResult> kernels;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(solver_kind_name(row.kind));
+    SolveOptions options = tuned;
+    options.solver = row.kind;
+    MvaResult got;
+    if (is_multiclass(row.kind)) {
+      options.classes = classes;
+      finalize_multiclass_options(options);
+      got = solve(mc_net, nullptr, options);
+    } else {
+      got = solve(net, demands, options);
+    }
+    kernels.push_back(row.kernel());
+    expect_same_result(got, kernels.back());
+  }
+  // The rows discriminate: no two kernels return the same throughput
+  // series, so a kind dispatched to a neighbour's kernel cannot pass.
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    for (std::size_t j = i + 1; j < kernels.size(); ++j) {
+      EXPECT_NE(kernels[i].throughput, kernels[j].throughput)
+          << solver_kind_name(rows[i].kind) << " vs "
+          << solver_kind_name(rows[j].kind);
+    }
+  }
 }
 
 // ----------------------------------------------------------------- result

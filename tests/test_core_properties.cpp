@@ -10,13 +10,10 @@
 
 #include "common/rng.hpp"
 #include "core/demand_model.hpp"
-#include "core/mva_exact.hpp"
-#include "core/mva_interval.hpp"
-#include "core/mva_load_dependent.hpp"
+#include "core/detail/mva_exact.hpp"
+#include "core/detail/mva_load_dependent.hpp"
+#include "core/detail/mva_schweitzer.hpp"
 #include "core/mva_multiclass.hpp"
-#include "core/mva_multiserver.hpp"
-#include "core/mva_schweitzer.hpp"
-#include "core/mvasd.hpp"
 #include "core/network.hpp"
 #include "core/solve.hpp"
 #include "interp/cubic_spline.hpp"
@@ -24,6 +21,30 @@
 
 namespace mtperf::core {
 namespace {
+
+using detail::exact_mva;
+using detail::load_dependent_mva;
+using detail::multiserver_rate;
+using detail::RateMultiplier;
+using detail::schweitzer_mva;
+
+/// Algorithm 2: the mvasd kind over constant demands.
+MvaResult exact_multiserver(const ClosedNetwork& network,
+                            const std::vector<double>& service_times,
+                            unsigned max_population) {
+  return solve(network, DemandModel::constant(service_times),
+               {SolverKind::kMvasd, max_population});
+}
+
+/// A multiclass kind through the facade.
+MvaResult solve_mix(SolverKind kind, const ClosedNetwork& network,
+                    std::vector<CustomerClass> classes) {
+  SolveOptions options;
+  options.solver = kind;
+  options.classes = std::move(classes);
+  finalize_multiclass_options(options);
+  return solve(network, nullptr, options);
+}
 
 struct RandomCase {
   ClosedNetwork network;
@@ -57,7 +78,7 @@ class RandomNetworks : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomNetworks, LittlesLawAndConservationHold) {
   const RandomCase c = make_case(1000 + GetParam());
-  const auto r = exact_multiserver_mva(c.network, c.demands, c.max_population);
+  const auto r = exact_multiserver(c.network, c.demands, c.max_population);
   for (std::size_t i = 0; i < r.levels(); ++i) {
     // Little's law at the system level.
     EXPECT_NEAR(r.throughput[i] * r.cycle_time[i],
@@ -73,7 +94,7 @@ TEST_P(RandomNetworks, LittlesLawAndConservationHold) {
 
 TEST_P(RandomNetworks, ThroughputMonotoneAndCapacityBounded) {
   const RandomCase c = make_case(2000 + GetParam());
-  const auto r = exact_multiserver_mva(c.network, c.demands, c.max_population);
+  const auto r = exact_multiserver(c.network, c.demands, c.max_population);
   double capacity = std::numeric_limits<double>::infinity();
   for (std::size_t k = 0; k < c.network.size(); ++k) {
     const Station& st = c.network.station(k);
@@ -101,7 +122,7 @@ TEST_P(RandomNetworks, MultiServerAgreesWithLoadDependent) {
   for (const auto& st : c.network.stations()) {
     rates.push_back(multiserver_rate(st.servers));
   }
-  const auto ms = exact_multiserver_mva(c.network, c.demands,
+  const auto ms = exact_multiserver(c.network, c.demands,
                                         c.max_population);
   const auto ld =
       load_dependent_mva(c.network, c.demands, rates, c.max_population);
@@ -160,20 +181,25 @@ TEST_P(RandomNetworks, AsymptoticBoundsContainExactSolution) {
 }
 
 TEST_P(RandomNetworks, IntervalMvaBracketsInteriorDemandVectors) {
+  // Throughput falls as any demand grows, so solves at the lower and upper
+  // corners of a +/-15% demand box bracket every demand vector inside it.
   const RandomCase c = make_case(6000 + GetParam());
   Rng rng(7000 + GetParam());
-  const auto intervals = intervals_around(c.demands, 0.15);
-  const auto banded = interval_mva(c.network, intervals, c.max_population);
-  // Any demand vector inside the box must produce results inside the band.
+  constexpr double kHalfWidth = 0.15;
+  std::vector<double> lower(c.demands);
+  std::vector<double> upper(c.demands);
+  for (double& d : lower) d *= 1.0 - kHalfWidth;
+  for (double& d : upper) d *= 1.0 + kHalfWidth;
+  const auto optimistic = exact_multiserver(c.network, lower, c.max_population);
+  const auto pessimistic =
+      exact_multiserver(c.network, upper, c.max_population);
   std::vector<double> inner(c.demands);
   for (double& d : inner) d *= rng.uniform(0.85, 1.15);
-  const auto mid = exact_multiserver_mva(c.network, inner, c.max_population);
+  const auto mid = exact_multiserver(c.network, inner, c.max_population);
   for (unsigned n : {1u, c.max_population}) {
     const std::size_t i = mid.row_for(n);
-    EXPECT_LE(banded.pessimistic.throughput[i],
-              mid.throughput[i] * (1.0 + 1e-6));
-    EXPECT_GE(banded.optimistic.throughput[i],
-              mid.throughput[i] * (1.0 - 1e-6));
+    EXPECT_LE(pessimistic.throughput[i], mid.throughput[i] * (1.0 + 1e-6));
+    EXPECT_GE(optimistic.throughput[i], mid.throughput[i] * (1.0 - 1e-6));
   }
 }
 
@@ -187,11 +213,11 @@ TEST_P(RandomNetworks, MvasdWithConstantSplineEqualsConstantModel) {
         interp::build_cubic_spline(
             interp::SampleSet({1.0, 10.0, 100.0}, {d, d, d}))));
   }
-  const auto varying = mvasd(
-      c.network, DemandModel::interpolated(std::move(interpolants)),
-      c.max_population);
+  const auto varying =
+      solve(c.network, DemandModel::interpolated(std::move(interpolants)),
+            {SolverKind::kMvasd, c.max_population});
   const auto fixed =
-      exact_multiserver_mva(c.network, c.demands, c.max_population);
+      exact_multiserver(c.network, c.demands, c.max_population);
   for (std::size_t i = 0; i < fixed.levels(); ++i) {
     EXPECT_NEAR(varying.throughput[i], fixed.throughput[i],
                 1e-9 * std::max(1.0, fixed.throughput[i]));
@@ -210,8 +236,8 @@ TEST_P(RandomNetworks, MulticlassSplitInvariance) {
   const std::vector<CustomerClass> split{
       {"a", n / 2, net.think_time(), c.demands},
       {"b", n - n / 2, net.think_time(), c.demands}};
-  const auto one = exact_multiclass_series(net, merged);
-  const auto two = exact_multiclass_series(net, split);
+  const auto one = solve_mix(SolverKind::kExactMulticlass, net, merged);
+  const auto two = solve_mix(SolverKind::kExactMulticlass, net, split);
   EXPECT_NEAR(one.throughput.back(), two.throughput.back(),
               1e-8 * std::max(1.0, one.throughput.back()));
 }
@@ -236,8 +262,8 @@ TEST_P(RandomNetworks, MulticlassSolversAgreeOnRandomSmallMixes) {
                        static_cast<unsigned>(rng.uniform_int(1, 6)),
                        rng.uniform(0.0, 2.0), std::move(demands), nullptr});
   }
-  const MvaResult exact = exact_multiclass_series(net, classes);
-  const MvaResult mom = mom_multiclass(net, classes);
+  const MvaResult exact = solve_mix(SolverKind::kExactMulticlass, net, classes);
+  const MvaResult mom = solve_mix(SolverKind::kMomMulticlass, net, classes);
   const std::size_t top = exact.levels() - 1;
   ASSERT_EQ(mom.classes(), exact.classes());
   EXPECT_NEAR(mom.throughput[0], exact.throughput[top],
@@ -249,7 +275,8 @@ TEST_P(RandomNetworks, MulticlassSolversAgreeOnRandomSmallMixes) {
   }
   // Schweitzer is approximate and weakest at tiny populations: a loose
   // bracket that still catches sign- and indexing-level bugs.
-  const MvaResult schweitzer = schweitzer_multiclass_series(net, classes);
+  const MvaResult schweitzer =
+      solve_mix(SolverKind::kSchweitzerMulticlass, net, classes);
   const std::size_t s_top = schweitzer.levels() - 1;
   EXPECT_NEAR(schweitzer.throughput[s_top], exact.throughput[top],
               0.25 * std::max(1.0, exact.throughput[top]));

@@ -15,7 +15,7 @@
 #include "common/error.hpp"
 #include "core/demand_model.hpp"
 #include "core/detail/hierarchy_engine.hpp"
-#include "core/mva_load_dependent.hpp"
+#include "core/detail/mva_load_dependent.hpp"
 #include "core/network.hpp"
 #include "core/solve.hpp"
 #include "core/sweep.hpp"
@@ -256,7 +256,7 @@ TEST(Hierarchical, MatchesHandBuiltLoadDependentOracle) {
                          Station{"front", 1.0, 1, StationKind::kQueueing}},
                         0.5);
   const std::vector<double> service_times = {1.0 / x1, 0.004};
-  const auto oracle = core::load_dependent_mva(
+  const auto oracle = core::detail::load_dependent_mva(
       reduced, service_times, std::vector<std::vector<double>>{alpha, {1.0}},
       n_max);
 

@@ -15,10 +15,9 @@
 #include "apps/vins.hpp"
 #include "common/stats.hpp"
 #include "core/demand_model.hpp"
-#include "core/mva_multiserver.hpp"
-#include "core/mvasd.hpp"
 #include "core/network.hpp"
 #include "core/prediction.hpp"
+#include "core/solve.hpp"
 #include "interp/cubic_spline.hpp"
 #include "ops/bounds.hpp"
 #include "workload/campaign.hpp"
@@ -26,6 +25,12 @@
 
 namespace mtperf {
 namespace {
+
+/// A campaign prediction (core/prediction.hpp's *_scenario) through the
+/// facade.
+core::MvaResult solve_spec(const core::ScenarioSpec& spec) {
+  return core::solve(spec.network, spec.demands, spec.options);
+}
 
 workload::CampaignSettings test_settings(double duration = 400.0) {
   workload::CampaignSettings s;
@@ -80,8 +85,8 @@ TEST_F(JPetStorePipeline, BottleneckIdentifiedAtDatabase) {
 }
 
 TEST_F(JPetStorePipeline, MvasdTracksMeasuredThroughputWithinAFewPercent) {
-  const auto prediction =
-      core::predict_mvasd(campaign().table, kThink, kMaxUsers);
+  const auto prediction = solve_spec(
+      core::mvasd_scenario("MVASD", campaign().table, kThink, kMaxUsers));
   const auto report = core::deviation_against_measurements(
       "MVASD", prediction, campaign().table, kThink);
   // Paper Table 5 reports ~1-2%; allow slack for the shortened windows.
@@ -91,11 +96,15 @@ TEST_F(JPetStorePipeline, MvasdTracksMeasuredThroughputWithinAFewPercent) {
 
 TEST_F(JPetStorePipeline, MvasdBeatsFixedDemandMva) {
   const auto mvasd_report = core::deviation_against_measurements(
-      "MVASD", core::predict_mvasd(campaign().table, kThink, kMaxUsers),
+      "MVASD",
+      solve_spec(core::mvasd_scenario("MVASD", campaign().table, kThink,
+                                      kMaxUsers)),
       campaign().table, kThink);
   // MVA with single-user demands (the worst choice the paper plots).
   const auto mva1_report = core::deviation_against_measurements(
-      "MVA 1", core::predict_mva_fixed(campaign().table, kThink, kMaxUsers, 1),
+      "MVA 1",
+      solve_spec(core::mva_fixed_scenario("MVA 1", campaign().table, kThink,
+                                          kMaxUsers, 1)),
       campaign().table, kThink);
   EXPECT_LT(mvasd_report.throughput_deviation_pct,
             mva1_report.throughput_deviation_pct);
@@ -107,11 +116,14 @@ TEST_F(JPetStorePipeline, MultiServerBeatsSingleServerNormalization) {
   // Fig. 8: MVASD with the exact multi-server model outperforms the S/C
   // normalized single-server variant on this CPU-bound application.
   const auto ms = core::deviation_against_measurements(
-      "MVASD", core::predict_mvasd(campaign().table, kThink, kMaxUsers),
+      "MVASD",
+      solve_spec(core::mvasd_scenario("MVASD", campaign().table, kThink,
+                                      kMaxUsers)),
       campaign().table, kThink);
   const auto ss = core::deviation_against_measurements(
       "MVASD:SS",
-      core::predict_mvasd_single_server(campaign().table, kThink, kMaxUsers),
+      solve_spec(core::mvasd_single_server_scenario(
+          "MVASD:SS", campaign().table, kThink, kMaxUsers)),
       campaign().table, kThink);
   EXPECT_LT(ms.throughput_deviation_pct, ss.throughput_deviation_pct);
 }
@@ -120,12 +132,15 @@ TEST_F(JPetStorePipeline, DemandVsThroughputAxisIsWorseButReasonable) {
   // Section 7: interpolating demands against throughput instead of
   // concurrency degrades accuracy (paper: 6.68% / 6.9%) but stays usable.
   const auto conc = core::deviation_against_measurements(
-      "MVASD", core::predict_mvasd(campaign().table, kThink, kMaxUsers),
+      "MVASD",
+      solve_spec(core::mvasd_scenario("MVASD", campaign().table, kThink,
+                                      kMaxUsers)),
       campaign().table, kThink);
   const auto thru = core::deviation_against_measurements(
       "MVASD-X",
-      core::predict_mvasd(campaign().table, kThink, kMaxUsers,
-                          core::DemandModel::Axis::kThroughput),
+      solve_spec(core::mvasd_scenario("MVASD-X", campaign().table, kThink,
+                                      kMaxUsers,
+                                      core::DemandModel::Axis::kThroughput)),
       campaign().table, kThink);
   EXPECT_GE(thru.throughput_deviation_pct,
             conc.throughput_deviation_pct - 0.5);
@@ -249,7 +264,8 @@ TEST_F(JPetStorePipeline, GridSolveMatchesFunctionalReference) {
   // recursion to ~machine precision (<= 1e-12 relative on every series).
   const auto network = core::network_from_table(campaign().table, kThink);
   const auto demands = core::DemandModel::from_table(campaign().table);
-  const auto got = core::mvasd(network, demands, kMaxUsers);
+  const auto got =
+      core::solve(network, demands, {core::SolverKind::kMvasd, kMaxUsers});
   const auto want = reference_mvasd(network, demands, kMaxUsers);
   expect_relative_parity(got, want, 1e-12);
 }
@@ -258,7 +274,8 @@ TEST_F(JPetStorePipeline, GridSolveMatchesFunctionalReferenceThroughputAxis) {
   const auto network = core::network_from_table(campaign().table, kThink);
   const auto demands = core::DemandModel::from_table(
       campaign().table, core::DemandModel::Axis::kThroughput);
-  const auto got = core::mvasd(network, demands, kMaxUsers);
+  const auto got =
+      core::solve(network, demands, {core::SolverKind::kMvasd, kMaxUsers});
   const auto want = reference_mvasd(network, demands, kMaxUsers);
   expect_relative_parity(got, want, 1e-12);
 }
@@ -284,15 +301,16 @@ TEST(VinsGridParity, GridSolveMatchesFunctionalReference) {
         interp::build_cubic_spline(interp::SampleSet(knots, ys))));
   }
   const auto demands = core::DemandModel::interpolated(std::move(splines));
-  const auto got = core::mvasd(network, demands, 1500);
+  const auto got =
+      core::solve(network, demands, {core::SolverKind::kMvasd, 1500});
   const auto want = reference_mvasd(network, demands, 1500);
   expect_relative_parity(got, want, 1e-12);
 }
 
 TEST_F(JPetStorePipeline, PredictedDbUtilizationTracksMeasured) {
   // Fig. 9: MVASD's per-station utilization curves follow the monitors.
-  const auto prediction =
-      core::predict_mvasd(campaign().table, kThink, kMaxUsers);
+  const auto prediction = solve_spec(
+      core::mvasd_scenario("MVASD", campaign().table, kThink, kMaxUsers));
   for (const auto& point : campaign().table.points()) {
     const std::size_t row =
         prediction.row_for(static_cast<unsigned>(point.concurrency));
@@ -307,8 +325,8 @@ TEST_F(JPetStorePipeline, PredictedDbUtilizationTracksMeasured) {
 }
 
 TEST_F(JPetStorePipeline, PredictionsRespectOperationalBounds) {
-  const auto prediction =
-      core::predict_mvasd(campaign().table, kThink, kMaxUsers);
+  const auto prediction = solve_spec(
+      core::mvasd_scenario("MVASD", campaign().table, kThink, kMaxUsers));
   // Capacity-aware asymptotic bound for multi-server stations:
   //   X(n) <= min( n / (Dtot + Z),  min_k C_k / D_k ).
   // Evaluate it with the demands measured at the row nearest each n
@@ -349,14 +367,17 @@ TEST(VinsPipeline, DiskBottleneckAndMvasdAccuracy) {
   EXPECT_TRUE(b == apps::kDbDisk || b == apps::kLoadDisk);
 
   const auto mvasd_report = core::deviation_against_measurements(
-      "MVASD", core::predict_mvasd(campaign.table, 1.0, 680),
+      "MVASD",
+      solve_spec(core::mvasd_scenario("MVASD", campaign.table, 1.0, 680)),
       campaign.table, 1.0);
   // Paper Table 4: < 3% X, < 9% R+Z; slack for shortened windows.
   EXPECT_LT(mvasd_report.throughput_deviation_pct, 8.0);
   EXPECT_LT(mvasd_report.cycle_time_deviation_pct, 10.0);
 
   const auto mva1_report = core::deviation_against_measurements(
-      "MVA 1", core::predict_mva_fixed(campaign.table, 1.0, 680, 1),
+      "MVA 1",
+      solve_spec(
+          core::mva_fixed_scenario("MVA 1", campaign.table, 1.0, 680, 1)),
       campaign.table, 1.0);
   EXPECT_LT(mvasd_report.throughput_deviation_pct,
             mva1_report.throughput_deviation_pct);
@@ -375,7 +396,8 @@ TEST(ChebyshevPipeline, ThreeNodesAlreadyPredictWell) {
   const auto reference = workload::run_campaign(
       app, apps::jpetstore_campaign_levels(), test_settings());
 
-  const auto prediction = core::predict_mvasd(campaign.table, 1.0, 280);
+  const auto prediction =
+      solve_spec(core::mvasd_scenario("MVASD", campaign.table, 1.0, 280));
   const auto report = core::deviation_against_measurements(
       "MVASD (Chebyshev 3)", prediction, reference.table, 1.0);
   EXPECT_LT(report.throughput_deviation_pct, 8.0);

@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/mva_exact.hpp"
 #include "core/mva_multiclass.hpp"
-#include "core/mva_multiserver.hpp"
 #include "core/seidmann.hpp"
 #include "core/network.hpp"
 #include "core/solve.hpp"
@@ -22,12 +20,37 @@ ClosedNetwork two_station_net(double think = 0.0) {
   return make_network({"cpu", "disk"}, {1, 1}, think);
 }
 
+constexpr SolverKind kExact = SolverKind::kExactMulticlass;
+constexpr SolverKind kMom = SolverKind::kMomMulticlass;
+constexpr SolverKind kSchweitzer = SolverKind::kSchweitzerMulticlass;
+
+SolveOptions multiclass_options(SolverKind kind,
+                                std::vector<CustomerClass> classes) {
+  SolveOptions options;
+  options.solver = kind;
+  options.classes = std::move(classes);
+  finalize_multiclass_options(options);
+  return options;
+}
+
+MvaResult solve_mix(SolverKind kind, const ClosedNetwork& net,
+                    std::vector<CustomerClass> classes) {
+  return solve(net, nullptr, multiclass_options(kind, std::move(classes)));
+}
+
+/// Single-class constant-demand solve, the reference for one-class mixes.
+MvaResult solve_single(SolverKind kind, const ClosedNetwork& net,
+                       std::vector<double> demands, unsigned n) {
+  return solve(net, DemandModel::constant(std::move(demands)), {kind, n});
+}
+
 TEST(Multiclass, SingleClassMatchesExactMva) {
   const auto net = two_station_net(1.0);
   const std::vector<double> demands{0.05, 0.12};
   const std::vector<CustomerClass> classes{{"only", 15, 1.0, demands}};
-  const auto mc = exact_multiclass_series(net, classes);
-  const auto sc = exact_mva(net, demands, 15);
+  const auto mc = solve_mix(kExact, net, classes);
+  const auto sc =
+      solve_single(SolverKind::kExactSingleServer, net, demands, 15);
   const std::size_t top = mc.levels() - 1;
   EXPECT_NEAR(mc.class_x(top, 0), sc.throughput.back(), 1e-10);
   EXPECT_NEAR(mc.class_r(top, 0), sc.response_time.back(), 1e-10);
@@ -41,8 +64,9 @@ TEST(Multiclass, TwoIdenticalClassesEqualOneMergedClass) {
   const std::vector<double> demands{0.03, 0.08};
   const std::vector<CustomerClass> split{{"a", 6, 2.0, demands},
                                          {"b", 9, 2.0, demands}};
-  const auto mc = exact_multiclass_series(net, split);
-  const auto merged = exact_mva(net, demands, 15);
+  const auto mc = solve_mix(kExact, net, split);
+  const auto merged =
+      solve_single(SolverKind::kExactSingleServer, net, demands, 15);
   const std::size_t top = mc.levels() - 1;
   EXPECT_NEAR(mc.throughput[top], merged.throughput.back(), 1e-9);
   // Throughput shares proportional to populations (identical classes).
@@ -55,7 +79,7 @@ TEST(Multiclass, LittlesLawPerClass) {
       {"renew", 8, 1.5, {0.05, 0.15}},
       {"read", 12, 1.5, {0.02, 0.01}},
   };
-  const auto r = exact_multiclass_series(net, classes);
+  const auto r = solve_mix(kExact, net, classes);
   const std::size_t top = r.levels() - 1;
   for (std::size_t c = 0; c < classes.size(); ++c) {
     EXPECT_NEAR(r.class_x(top, c) * (r.class_r(top, c) + classes[c].think_time),
@@ -69,7 +93,7 @@ TEST(Multiclass, CustomersConserved) {
       {"a", 5, 1.0, {0.05, 0.15}},
       {"b", 7, 1.0, {0.02, 0.01}},
   };
-  const auto r = exact_multiclass_series(net, classes);
+  const auto r = solve_mix(kExact, net, classes);
   const std::size_t top = r.levels() - 1;
   double total = 0.0;
   for (std::size_t k = 0; k < 2; ++k) total += r.queue(top, k);
@@ -85,7 +109,7 @@ TEST(Multiclass, UtilizationsSumClassContributions) {
       {"a", 5, 1.0, {0.05, 0.15}},
       {"b", 7, 1.0, {0.02, 0.01}},
   };
-  const auto r = exact_multiclass_series(net, classes);
+  const auto r = solve_mix(kExact, net, classes);
   const std::size_t top = r.levels() - 1;
   for (std::size_t k = 0; k < 2; ++k) {
     const double expected = r.class_x(top, 0) * classes[0].demands[k] +
@@ -101,10 +125,11 @@ TEST(Multiclass, ZeroPopulationClassContributesNothing) {
       {"active", 10, 1.0, {0.05, 0.15}},
       {"idle", 0, 1.0, {0.5, 0.5}},
   };
-  const auto r = exact_multiclass_series(net, classes);
+  const auto r = solve_mix(kExact, net, classes);
   const std::size_t top = r.levels() - 1;
   EXPECT_DOUBLE_EQ(r.class_x(top, 1), 0.0);
-  const auto single = exact_mva(net, std::vector<double>{0.05, 0.15}, 10);
+  const auto single =
+      solve_single(SolverKind::kExactSingleServer, net, {0.05, 0.15}, 10);
   EXPECT_NEAR(r.class_x(top, 0), single.throughput.back(), 1e-10);
 }
 
@@ -114,7 +139,7 @@ TEST(Multiclass, DelayStationsSupported) {
        Station{"lan", 1.0, 1, StationKind::kDelay}},
       1.0);
   const std::vector<CustomerClass> classes{{"a", 10, 1.0, {0.05, 0.2}}};
-  const auto r = exact_multiclass_series(net, classes);
+  const auto r = solve_mix(kExact, net, classes);
   const std::size_t top = r.levels() - 1;
   EXPECT_GT(r.class_x(top, 0), 0.0);
   // Delay residence is exactly the demand, independent of load.
@@ -127,8 +152,8 @@ TEST(Multiclass, SchweitzerCloseToExact) {
       {"a", 10, 1.0, {0.05, 0.15}},
       {"b", 20, 1.0, {0.02, 0.01}},
   };
-  const auto exact = exact_multiclass_series(net, classes);
-  const auto approx = schweitzer_multiclass_series(net, classes);
+  const auto exact = solve_mix(kExact, net, classes);
+  const auto approx = solve_mix(kSchweitzer, net, classes);
   const std::size_t top = exact.levels() - 1;
   for (std::size_t c = 0; c < classes.size(); ++c) {
     // Schweitzer's proportional estimate carries a few percent of error at
@@ -145,7 +170,7 @@ TEST(Multiclass, SchweitzerLittlesLawHolds) {
       {"a", 40, 0.5, {0.02, 0.05}},
       {"b", 60, 0.5, {0.01, 0.002}},
   };
-  const auto r = schweitzer_multiclass_series(net, classes);
+  const auto r = solve_mix(kSchweitzer, net, classes);
   const std::size_t top = r.levels() - 1;
   for (std::size_t c = 0; c < classes.size(); ++c) {
     EXPECT_NEAR(r.class_x(top, c) * (r.class_r(top, c) + classes[c].think_time),
@@ -161,7 +186,7 @@ TEST(Multiclass, SchweitzerHandlesLargeMixesExactCannot) {
       {"b", 200, 1.0, {0.001, 0.006}},
       {"c", 200, 1.0, {0.002, 0.002}},
   };
-  const auto r = schweitzer_multiclass_series(net, classes);
+  const auto r = solve_mix(kSchweitzer, net, classes);
   const std::size_t top = r.levels() - 1;
   EXPECT_GT(r.throughput[top], 0.0);
   for (std::size_t k = 0; k < 2; ++k) {
@@ -183,8 +208,8 @@ TEST(Multiclass, SeidmannTransformEnablesMultiServerMulticlass) {
   const auto t = seidmann_transform(net, demands);
   const std::vector<CustomerClass> classes{
       {"only", 60, 1.0, t.service_times}};
-  const auto mc = exact_multiclass_series(t.network, classes);
-  const auto exact = exact_multiserver_mva(net, demands, 60);
+  const auto mc = solve_mix(kExact, t.network, classes);
+  const auto exact = solve_single(SolverKind::kMvasd, net, demands, 60);
   const double e = exact.throughput.back();
   EXPECT_NEAR(mc.class_x(mc.levels() - 1, 0), e, 0.15 * e);  // Seidmann
 }
@@ -192,17 +217,17 @@ TEST(Multiclass, SeidmannTransformEnablesMultiServerMulticlass) {
 TEST(Multiclass, RejectsMultiServerStations) {
   const auto net = make_network({"cpu"}, {4}, 1.0);
   const std::vector<CustomerClass> classes{{"a", 5, 1.0, {0.1}}};
-  EXPECT_THROW(exact_multiclass_series(net, classes), invalid_argument_error);
+  EXPECT_THROW(solve_mix(kExact, net, classes), invalid_argument_error);
 }
 
 TEST(Multiclass, Validation) {
   const auto net = two_station_net(1.0);
-  EXPECT_THROW(exact_multiclass_series(net, {}), invalid_argument_error);
-  EXPECT_THROW(exact_multiclass_series(net, {{"a", 5, 1.0, {0.1}}}),
+  EXPECT_THROW(solve_mix(kExact, net, {}), invalid_argument_error);
+  EXPECT_THROW(solve_mix(kExact, net, {{"a", 5, 1.0, {0.1}}}),
                invalid_argument_error);  // demand width
-  EXPECT_THROW(exact_multiclass_series(net, {{"a", 5, -1.0, {0.1, 0.1}}}),
+  EXPECT_THROW(solve_mix(kExact, net, {{"a", 5, -1.0, {0.1, 0.1}}}),
                invalid_argument_error);
-  EXPECT_THROW(exact_multiclass_series(net, {{"a", 0, 1.0, {0.1, 0.1}}}),
+  EXPECT_THROW(solve_mix(kExact, net, {{"a", 0, 1.0, {0.1, 0.1}}}),
                invalid_argument_error);  // all-zero population
 }
 
@@ -213,7 +238,7 @@ TEST(Multiclass, ExactRejectsHugeStateSpace) {
       {"b", 4000, 1.0, {0.001, 0.001}},
       {"c", 4000, 1.0, {0.001, 0.001}},
   };
-  EXPECT_THROW(exact_multiclass_series(net, classes), invalid_argument_error);
+  EXPECT_THROW(solve_mix(kExact, net, classes), invalid_argument_error);
 }
 
 TEST(Multiclass, StateSpaceOverflowIsRejectedNotWrapped) {
@@ -237,7 +262,7 @@ TEST(Multiclass, StateSpaceOverflowIsRejectedNotWrapped) {
   };
   for (const auto& classes : hostile) {
     try {
-      exact_multiclass_series(net, classes);
+      solve_mix(kExact, net, classes);
       FAIL() << "overflowing population-vector space accepted";
     } catch (const invalid_argument_error& e) {
       EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos);
@@ -252,28 +277,18 @@ TEST(Multiclass, DemandDimensionMismatchNamesTheClass) {
   // the station count must be rejected by name before any solving starts.
   const auto net = two_station_net(1.0);
   try {
-    exact_multiclass_series(net, {{"renew", 5, 1.0, {0.1, 0.2, 0.3}}});
+    solve_mix(kExact, net, {{"renew", 5, 1.0, {0.1, 0.2, 0.3}}});
     FAIL() << "mismatched demand width accepted";
   } catch (const invalid_argument_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("renew"), std::string::npos) << what;
     EXPECT_NE(what.find("one demand per station"), std::string::npos) << what;
   }
-  EXPECT_THROW(
-      schweitzer_multiclass_series(net, {{"renew", 5, 1.0, {0.1}}}),
-      invalid_argument_error);
+  EXPECT_THROW(solve_mix(kSchweitzer, net, {{"renew", 5, 1.0, {0.1}}}),
+               invalid_argument_error);
 }
 
 // ------------------------------------------------------------------ facade
-
-SolveOptions multiclass_options(SolverKind kind,
-                                std::vector<CustomerClass> classes) {
-  SolveOptions options;
-  options.solver = kind;
-  options.classes = std::move(classes);
-  finalize_multiclass_options(options);
-  return options;
-}
 
 TEST(MulticlassFacade, SingleClassSpecIsBitIdenticalToMvasd) {
   // A one-class multiclass spec collapses to the single-class recursion:
@@ -352,8 +367,8 @@ TEST(MulticlassFacade, ClassesAndKindMustAgree) {
 TEST(MulticlassFacade, DuplicateClassNamesRejected) {
   const auto net = two_station_net(1.0);
   try {
-    exact_multiclass_series(net, {{"renew", 5, 1.0, {0.05, 0.12}},
-                                  {"renew", 3, 1.0, {0.02, 0.01}}});
+    solve_mix(kExact, net, {{"renew", 5, 1.0, {0.05, 0.12}},
+                            {"renew", 3, 1.0, {0.02, 0.01}}});
     FAIL() << "duplicate class name accepted";
   } catch (const invalid_argument_error& e) {
     EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos);
@@ -372,11 +387,11 @@ TEST(MulticlassSeries, PrefixEqualsShallowerMix) {
                                         {"b", 6, 1.0, {0.02, 0.01}}};
   const std::vector<CustomerClass> shallow{{"a", 4, 1.0, {0.05, 0.15}},
                                            {"b", 3, 1.0, {0.02, 0.01}}};
-  const auto full = exact_multiclass_series(net, deep);
+  const auto full = solve_mix(kExact, net, deep);
   ASSERT_EQ(full.levels(), 6u);
   EXPECT_EQ(full.mc_axis, 1u);
   const auto trimmed = full.prefix(3);
-  const auto direct = exact_multiclass_series(net, shallow);
+  const auto direct = solve_mix(kExact, net, shallow);
   ASSERT_EQ(trimmed.levels(), direct.levels());
   EXPECT_EQ(trimmed.class_population, direct.class_population);
   EXPECT_EQ(trimmed.throughput, direct.throughput);
@@ -413,8 +428,9 @@ TEST(MulticlassSeries, GridDeepeningIsBitIdentical) {
   }
   // A pre-built grid drives the solver to the same result as local
   // tabulation.
-  const auto with_grid = exact_multiclass_series(net, classes, &direct);
-  const auto without = exact_multiclass_series(net, classes);
+  const auto options = multiclass_options(kExact, classes);
+  const auto with_grid = solve(net, nullptr, options, nullptr, &direct);
+  const auto without = solve(net, nullptr, options);
   EXPECT_EQ(with_grid.throughput, without.throughput);
   EXPECT_EQ(with_grid.class_throughput, without.class_throughput);
 }
@@ -432,7 +448,7 @@ TEST(MulticlassSeries, VaryingDemandsReadTotalPopulation) {
   a.demand_model = std::make_shared<DemandModel>(
       DemandModel::interpolated({flat, falling}));
   const std::vector<CustomerClass> classes{a, {"b", 8, 0.0, {0.05, 0.05}}};
-  const auto r = exact_multiclass_series(net, classes);
+  const auto r = solve_mix(kExact, net, classes);
   // At the full mix the total population is 12, where the falling spline
   // reads 0.021; a per-class read (n=4) would sit near 0.08.  Utilization
   // U_1 = X_a d_a1(12) + X_b 0.05 pins which one the solver used.
@@ -454,9 +470,9 @@ TEST(MulticlassMom, MatchesExactOnSmallMixes) {
       {{"solo", 15, 1.0, {0.05, 0.12}}},
   };
   for (const auto& classes : mixes) {
-    const auto exact = exact_multiclass_series(net, classes);
+    const auto exact = solve_mix(kExact, net, classes);
     const std::size_t top = exact.levels() - 1;
-    const auto mom = mom_multiclass(net, classes);
+    const auto mom = solve_mix(kMom, net, classes);
     ASSERT_EQ(mom.levels(), 1u);
     EXPECT_EQ(mom.mc_axis, MvaResult::kNoAxis);
     for (std::size_t c = 0; c < classes.size(); ++c) {
@@ -483,9 +499,9 @@ TEST(MulticlassMom, DelayStationsFoldIntoThinkTime) {
       1.0);
   const std::vector<CustomerClass> classes{{"a", 10, 1.0, {0.05, 0.2}},
                                            {"b", 6, 0.5, {0.02, 0.4}}};
-  const auto exact = exact_multiclass_series(net, classes);
+  const auto exact = solve_mix(kExact, net, classes);
   const std::size_t top = exact.levels() - 1;
-  const auto mom = mom_multiclass(net, classes);
+  const auto mom = solve_mix(kMom, net, classes);
   for (std::size_t c = 0; c < 2; ++c) {
     EXPECT_NEAR(mom.class_x(0, c), exact.class_x(top, c), 1e-9);
     EXPECT_NEAR(mom.class_r(0, c), exact.class_r(top, c), 1e-9);
@@ -495,7 +511,7 @@ TEST(MulticlassMom, DelayStationsFoldIntoThinkTime) {
 TEST(MulticlassMom, DelayOnlyNetworkIsClosedForm) {
   const ClosedNetwork net({Station{"lan", 1.0, 1, StationKind::kDelay}}, 2.0);
   const std::vector<CustomerClass> classes{{"a", 10, 2.0, {0.5}}};
-  const auto r = mom_multiclass(net, classes);
+  const auto r = solve_mix(kMom, net, classes);
   EXPECT_NEAR(r.class_x(0, 0), 10.0 / 2.5, 1e-12);
 }
 
@@ -510,7 +526,7 @@ TEST(MulticlassMom, SolvesMixesBeyondTheExactGuard) {
       {"browse", 512, 2.0, {0.0010, 0.0005}},
   };
   try {
-    exact_multiclass_series(net, classes);
+    solve_mix(kExact, net, classes);
     FAIL() << "exact recursion accepted an infeasible mix";
   } catch (const invalid_argument_error& e) {
     EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos);
@@ -536,7 +552,7 @@ TEST(MulticlassMom, SolvesMixesBeyondTheExactGuard) {
   EXPECT_NEAR(queued + thinking, 1536.0, 1e-5);
   // Schweitzer lands in the same neighborhood (sanity against a second,
   // independent solver).
-  const auto approx = schweitzer_multiclass_series(net, classes);
+  const auto approx = solve_mix(kSchweitzer, net, classes);
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_NEAR(approx.class_x(approx.levels() - 1, c), r.class_x(0, c),
                 0.10 * r.class_x(0, c));
@@ -551,7 +567,7 @@ TEST(MulticlassMom, RequiresConstantDemands) {
   cls.demand_model = std::make_shared<DemandModel>(
       DemandModel::interpolated({spline, spline}));
   try {
-    mom_multiclass(net, {cls});
+    solve_mix(kMom, net, {cls});
     FAIL() << "varying demands accepted by the moment recursion";
   } catch (const invalid_argument_error& e) {
     EXPECT_NE(std::string(e.what()).find("constant demands"),
@@ -566,7 +582,7 @@ TEST(MulticlassMom, GuardSuggestsSchweitzer) {
       {"b", 4000000, 1.0, {0.0001, 0.0001}},
   };
   try {
-    mom_multiclass(net, classes);
+    solve_mix(kMom, net, classes);
     FAIL() << "infeasible moment space accepted";
   } catch (const invalid_argument_error& e) {
     EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos);
@@ -583,8 +599,8 @@ TEST(MulticlassSchweitzer, ZeroPopulationMixThrowsLikeExact) {
   // validation now.
   const auto net = two_station_net(1.0);
   const std::vector<CustomerClass> classes{{"a", 0, 1.0, {0.1, 0.1}}};
-  EXPECT_THROW(exact_multiclass_series(net, classes), invalid_argument_error);
-  EXPECT_THROW(schweitzer_multiclass_series(net, classes),
+  EXPECT_THROW(solve_mix(kExact, net, classes), invalid_argument_error);
+  EXPECT_THROW(solve_mix(kSchweitzer, net, classes),
                invalid_argument_error);
 }
 

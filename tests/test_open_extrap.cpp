@@ -1,5 +1,6 @@
 // Tests for the extrapolation baselines, the approximate multi-server MVA,
-// demand regression estimation, and interval MVA.
+// demand regression estimation, and interval MVA (solves at the corners of
+// a demand box).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,16 +9,22 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/extrapolation.hpp"
-#include "core/mva_approx_multiserver.hpp"
-#include "core/mva_interval.hpp"
-#include "core/mva_multiserver.hpp"
 #include "core/network.hpp"
+#include "core/solve.hpp"
 #include "interp/cubic_spline.hpp"
 #include "interp/piecewise_cubic.hpp"
 #include "ops/demand_estimation.hpp"
 
 namespace mtperf::core {
 namespace {
+
+/// Constant demands `scale * d` through the facade's `kind` solver.
+MvaResult solve_constant(SolverKind kind, const ClosedNetwork& net,
+                         std::vector<double> d, unsigned n,
+                         double scale = 1.0) {
+  for (double& x : d) x *= scale;
+  return solve(net, DemandModel::constant(std::move(d)), {kind, n});
+}
 
 // ----------------------------------------------------------- extrapolation
 
@@ -92,8 +99,9 @@ TEST(ApproxMultiserver, CloseToExactAcrossLoads) {
        Station{"disk", 1.0, 1, StationKind::kQueueing}},
       1.0);
   const std::vector<double> s{0.08, 0.012};
-  const auto exact = exact_multiserver_mva(net, s, 150);
-  const auto approx = approx_multiserver_mva(net, s, 150);
+  const auto exact = solve_constant(SolverKind::kMvasd, net, s, 150);
+  const auto approx =
+      solve_constant(SolverKind::kApproxMultiserver, net, s, 150);
   for (unsigned n : {1u, 10u, 40u, 100u, 150u}) {
     const double e = exact.throughput[exact.row_for(n)];
     const double a = approx.throughput[approx.row_for(n)];
@@ -106,7 +114,7 @@ TEST(ApproxMultiserver, SingleServerMatchesSchweitzerBehaviour) {
   // Little's law and saturate at 1/Dmax.
   const auto net = make_network({"a", "b"}, {1, 1}, 1.0);
   const std::vector<double> s{0.02, 0.05};
-  const auto r = approx_multiserver_mva(net, s, 200);
+  const auto r = solve_constant(SolverKind::kApproxMultiserver, net, s, 200);
   EXPECT_NEAR(r.throughput.back(), 1.0 / 0.05, 0.3);
   for (std::size_t i = 0; i < r.levels(); ++i) {
     EXPECT_NEAR(r.throughput[i] * r.cycle_time[i],
@@ -121,7 +129,7 @@ TEST(ApproxMultiserver, VaryingDemandVariantTracksDemandFloor) {
       interp::build_cubic_spline(
           interp::SampleSet({1, 100}, {0.2, 0.16})));
   const auto model = DemandModel::interpolated({spline});
-  const auto r = approx_mvasd(net, model, 300);
+  const auto r = solve(net, model, {SolverKind::kApproxMultiserver, 300});
   EXPECT_NEAR(r.throughput.back(), 4.0 / 0.16, 0.05 * 4.0 / 0.16);
 }
 
@@ -181,22 +189,9 @@ TEST(DemandRegression, Validation) {
 
 
 // ------------------------------------------------------------ interval MVA
-
-TEST(IntervalMva, DegenerateIntervalsMatchPointSolution) {
-  const ClosedNetwork net(
-      {Station{"cpu", 1.0, 4, StationKind::kQueueing},
-       Station{"disk", 1.0, 1, StationKind::kQueueing}},
-      1.0);
-  const std::vector<double> d{0.08, 0.02};
-  const auto intervals = intervals_around(d, 0.0);
-  const auto banded = interval_mva(net, intervals, 50);
-  const auto point = exact_multiserver_mva(net, d, 50);
-  for (std::size_t i = 0; i < point.levels(); ++i) {
-    EXPECT_DOUBLE_EQ(banded.optimistic.throughput[i], point.throughput[i]);
-    EXPECT_DOUBLE_EQ(banded.pessimistic.throughput[i], point.throughput[i]);
-  }
-  EXPECT_DOUBLE_EQ(banded.throughput_band_relative(50), 0.0);
-}
+//
+// Throughput falls as any demand grows, so exact MVA at the lower and upper
+// corners of a demand box brackets every demand vector inside it.
 
 TEST(IntervalMva, BandBracketsNominal) {
   const ClosedNetwork net(
@@ -204,36 +199,29 @@ TEST(IntervalMva, BandBracketsNominal) {
        Station{"disk", 1.0, 1, StationKind::kQueueing}},
       1.0);
   const std::vector<double> d{0.08, 0.02};
-  const auto banded = interval_mva(net, intervals_around(d, 0.10), 100);
-  const auto point = exact_multiserver_mva(net, d, 100);
+  const auto optimistic = solve_constant(SolverKind::kMvasd, net, d, 100, 0.9);
+  const auto pessimistic =
+      solve_constant(SolverKind::kMvasd, net, d, 100, 1.1);
+  const auto point = solve_constant(SolverKind::kMvasd, net, d, 100);
   for (unsigned n : {1u, 20u, 60u, 100u}) {
     const std::size_t i = point.row_for(n);
-    EXPECT_LE(banded.pessimistic.throughput[i], point.throughput[i] + 1e-9);
-    EXPECT_GE(banded.optimistic.throughput[i], point.throughput[i] - 1e-9);
-    EXPECT_GE(banded.pessimistic.response_time[i],
-              point.response_time[i] - 1e-9);
-    EXPECT_LE(banded.optimistic.response_time[i],
-              point.response_time[i] + 1e-9);
+    EXPECT_LE(pessimistic.throughput[i], point.throughput[i] + 1e-9);
+    EXPECT_GE(optimistic.throughput[i], point.throughput[i] - 1e-9);
+    EXPECT_GE(pessimistic.response_time[i], point.response_time[i] - 1e-9);
+    EXPECT_LE(optimistic.response_time[i], point.response_time[i] + 1e-9);
   }
-  EXPECT_GT(banded.throughput_band_relative(100), 0.0);
+  EXPECT_GT(optimistic.throughput.back(), pessimistic.throughput.back());
 }
 
 TEST(IntervalMva, SaturatedBandWidthTracksDemandUncertainty) {
   // At saturation X ~ 1/D, so a +/-10% demand box gives a ~20% X band.
   const auto net = make_network({"disk"}, {1}, 1.0);
   const std::vector<double> d{0.02};
-  const auto banded = interval_mva(net, intervals_around(d, 0.10), 500);
-  EXPECT_NEAR(banded.throughput_band_relative(500), 0.20, 0.01);
-}
-
-TEST(IntervalMva, Validation) {
-  const auto net = make_network({"a"}, {1}, 1.0);
-  std::vector<DemandInterval> bad{{0.2, 0.1}};
-  EXPECT_THROW(interval_mva(net, bad, 5), invalid_argument_error);
-  EXPECT_THROW(intervals_around(std::vector<double>{0.1}, 1.5),
-               invalid_argument_error);
-  EXPECT_THROW(interval_mva(net, std::vector<DemandInterval>{}, 5),
-               invalid_argument_error);
+  const double hi =
+      solve_constant(SolverKind::kMvasd, net, d, 500, 0.9).throughput.back();
+  const double lo =
+      solve_constant(SolverKind::kMvasd, net, d, 500, 1.1).throughput.back();
+  EXPECT_NEAR((hi - lo) / (0.5 * (lo + hi)), 0.20, 0.01);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the scenario-evaluation service layer: structural
 // fingerprinting, the sharded LRU result cache (exact hits, prefix hits,
-// eviction), concurrent hammering, and solve-facade parity against the
-// legacy per-solver entry points on the VINS and JPetStore pipelines.
+// eviction), concurrent hammering, and solve-facade dispatch to the
+// per-solver kernels on the VINS and JPetStore pipelines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +13,8 @@
 #include "apps/jpetstore.hpp"
 #include "apps/vins.hpp"
 #include "common/error.hpp"
-#include "core/mva_exact.hpp"
-#include "core/mva_multiserver.hpp"
-#include "core/mvasd.hpp"
+#include "core/detail/multiserver_engine.hpp"
+#include "core/detail/mvasd_single_server.hpp"
 #include "core/prediction.hpp"
 #include "core/solve.hpp"
 #include "interp/cubic_spline.hpp"
@@ -124,12 +123,17 @@ TEST(Fingerprint, DistinguishesStructure) {
 }
 
 TEST(Fingerprint, SolverOptionsOnlyCountWhereUsed) {
-  // Schweitzer tolerance is part of the key for the Schweitzer solver...
+  // Schweitzer tolerance is part of the key for the solvers that read it...
   auto a = basic_spec();
-  a.options.solver = SolverKind::kSchweitzer;
   auto b = a;
   b.options.schweitzer.tolerance *= 10.0;
-  EXPECT_FALSE(fingerprint(a) == fingerprint(b));
+  for (const auto kind :
+       {SolverKind::kSchweitzer, SolverKind::kSeidmannSchweitzer}) {
+    a.options.solver = kind;
+    b.options.solver = kind;
+    EXPECT_FALSE(fingerprint(a) == fingerprint(b))
+        << core::solver_kind_name(kind);
+  }
   // ...but irrelevant (and excluded) for solvers that never read it.
   a.options.solver = SolverKind::kMvasd;
   b.options.solver = SolverKind::kMvasd;
@@ -300,14 +304,6 @@ TEST(Engine, ConcurrentHammerStaysConsistent) {
   // 200 requests over 4 structures x 4 depths: even with concurrent
   // duplicate misses the cache must absorb the vast majority.
   EXPECT_GT(metrics.hit_rate, 0.8);
-}
-
-TEST(Engine, RejectsCustomRateMultipliers) {
-  auto spec = basic_spec();
-  spec.options.solver = SolverKind::kLoadDependent;
-  spec.options.rates = {core::multiserver_rate(16), core::multiserver_rate(1)};
-  Engine engine(EngineOptions{.threads = 1});
-  EXPECT_THROW((void)engine.evaluate(spec), Error);
 }
 
 // ------------------------------------------------------------- multiclass
@@ -497,6 +493,29 @@ TEST(SolveFacade, ErrorsCarryStablePrefix) {
   }
 }
 
+TEST(SolveFacade, SeidmannSchweitzerHonoursSchweitzerOptions) {
+  // Both Schweitzer kinds read SolveOptions::schweitzer: an exhausted
+  // iteration cap or an invalid tolerance fails, and a coarser tolerance
+  // moves the fixed point.
+  const auto net = core::make_network({"cpu", "disk"}, {8, 1}, 1.0);
+  const auto demands = DemandModel::constant({0.08, 0.012});
+  for (const auto kind :
+       {SolverKind::kSchweitzer, SolverKind::kSeidmannSchweitzer}) {
+    SCOPED_TRACE(core::solver_kind_name(kind));
+    core::SolveOptions capped{kind, 200};
+    capped.schweitzer.max_iterations = 1;
+    EXPECT_THROW((void)core::solve(net, demands, capped), numeric_error);
+    core::SolveOptions negative{kind, 200};
+    negative.schweitzer.tolerance = -1.0;
+    EXPECT_THROW((void)core::solve(net, demands, negative),
+                 invalid_argument_error);
+    core::SolveOptions coarse{kind, 200};
+    coarse.schweitzer.tolerance = 1e-2;
+    EXPECT_NE(core::solve(net, demands, coarse).throughput,
+              core::solve(net, demands, {kind, 200}).throughput);
+  }
+}
+
 TEST(SolveFacade, ConstantOnlySolversRejectVaryingDemands) {
   auto spec = spline_spec();
   spec.options.solver = SolverKind::kSchweitzer;
@@ -541,10 +560,14 @@ class FacadeParity : public ::testing::Test {
 workload::CampaignResult* FacadeParity::vins_ = nullptr;
 workload::CampaignResult* FacadeParity::jps_ = nullptr;
 
+// The *MatchesLegacy tests pin that the facade dispatches each campaign
+// spec to the kernel its kind names.
+
 TEST_F(FacadeParity, VinsMvasdMatchesLegacy) {
   const auto spec = core::mvasd_scenario("MVASD", vins_->table, kThink, 800);
   const auto via_facade = core::solve(spec.network, spec.demands, spec.options);
-  const auto legacy = core::mvasd(spec.network, spec.demands, 800);
+  const auto legacy =
+      core::detail::run_multiserver_mva(spec.network, spec.demands, 800);
   expect_identical(via_facade, legacy, kTol);
 }
 
@@ -552,15 +575,17 @@ TEST_F(FacadeParity, VinsFixedMvaMatchesLegacy) {
   const auto spec =
       core::mva_fixed_scenario("MVA 203", vins_->table, kThink, 800, 203.0);
   const auto via_facade = core::solve(spec.network, spec.demands, spec.options);
-  const auto legacy = core::exact_multiserver_mva(
-      spec.network, vins_->table.demands_at_concurrency(203.0), 800);
+  const auto legacy = core::detail::run_multiserver_mva(
+      spec.network,
+      DemandModel::constant(vins_->table.demands_at_concurrency(203.0)), 800);
   expect_identical(via_facade, legacy, kTol);
 }
 
 TEST_F(FacadeParity, JPetStoreMvasdMatchesLegacy) {
   const auto spec = core::mvasd_scenario("MVASD", jps_->table, kThink, 280);
   const auto via_facade = core::solve(spec.network, spec.demands, spec.options);
-  const auto legacy = core::mvasd(spec.network, spec.demands, 280);
+  const auto legacy =
+      core::detail::run_multiserver_mva(spec.network, spec.demands, 280);
   expect_identical(via_facade, legacy, kTol);
 }
 
@@ -568,7 +593,8 @@ TEST_F(FacadeParity, JPetStoreSingleServerMatchesLegacy) {
   const auto spec =
       core::mvasd_single_server_scenario("SS", jps_->table, kThink, 280);
   const auto via_facade = core::solve(spec.network, spec.demands, spec.options);
-  const auto legacy = core::mvasd_single_server(spec.network, spec.demands, 280);
+  const auto legacy =
+      core::detail::mvasd_single_server(spec.network, spec.demands, 280);
   expect_identical(via_facade, legacy, kTol);
 }
 

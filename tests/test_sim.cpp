@@ -13,9 +13,8 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/mva_exact.hpp"
-#include "core/mva_multiserver.hpp"
 #include "core/network.hpp"
+#include "core/solve.hpp"
 #include "sim/closed_network_sim.hpp"
 #include "sim/event_engine.hpp"
 
@@ -336,7 +335,9 @@ TEST(ClosedNetworkSim, MatchesExactMvaOnProductFormNetwork) {
   const std::vector<SimVisit> flow{{0, 0.08}, {1, 0.12}};
   const auto net = core::make_network({"a", "b"}, {1, 1}, 1.0);
   const std::vector<double> demands{0.08, 0.12};
-  const auto mva = core::exact_mva(net, demands, 20);
+  const auto mva =
+      core::solve(net, core::DemandModel::constant(demands),
+                  {core::SolverKind::kExactSingleServer, 20});
   for (unsigned n : {1u, 5u, 12u, 20u}) {
     SimOptions o = quick_options(n, 100 + n);
     o.measure_time = 800.0;
@@ -351,8 +352,8 @@ TEST(ClosedNetworkSim, MatchesMultiServerMvaWithMultiCoreStation) {
   const std::vector<SimVisit> flow{{0, 0.8}};
   const core::ClosedNetwork net(
       {core::Station{"cpu", 1.0, 4, core::StationKind::kQueueing}}, 1.0);
-  const auto mva =
-      core::exact_multiserver_mva(net, std::vector<double>{0.8}, 16);
+  const auto mva = core::solve(net, core::DemandModel::constant({0.8}),
+                               {core::SolverKind::kMvasd, 16});
   for (unsigned n : {2u, 6u, 10u, 16u}) {
     SimOptions o = quick_options(n, 200 + n);
     o.measure_time = 800.0;

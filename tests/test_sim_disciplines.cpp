@@ -7,8 +7,8 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/mva_exact.hpp"
 #include "core/network.hpp"
+#include "core/solve.hpp"
 #include "sim/closed_network_sim.hpp"
 
 namespace mtperf::sim {
@@ -127,7 +127,8 @@ TEST(DisciplineBehaviour, PsMatchesExactMvaProductForm) {
       {1, 0.12, {DistributionKind::kErlang, 0.5}},
   };
   const auto net = core::make_network({"a", "b"}, {1, 1}, 1.0);
-  const auto mva = core::exact_mva(net, std::vector<double>{0.08, 0.12}, 12);
+  const auto mva = core::solve(net, core::DemandModel::constant({0.08, 0.12}),
+                               {core::SolverKind::kExactSingleServer, 12});
   const auto sim = simulate_closed_network(
       {{"a", 1, Discipline::kProcessorSharing},
        {"b", 1, Discipline::kProcessorSharing}},
