@@ -63,15 +63,18 @@ std::vector<core::ScenarioSpec> make_fleet(unsigned max_axis_users) {
             {"browse",
              8,
              1.0 * think_scale,
-             {0.010 * cpu_scale, 0.024 * disk_scale, 0.006, 0.150}},
+             {0.010 * cpu_scale, 0.024 * disk_scale, 0.006, 0.150},
+             nullptr},
             {"search",
              6,
              2.0 * think_scale,
-             {0.016 * cpu_scale, 0.009 * disk_scale, 0.004, 0.080}},
+             {0.016 * cpu_scale, 0.009 * disk_scale, 0.004, 0.080},
+             nullptr},
             {"buy",
              depth_of[tier],
              0.5 * think_scale,
-             {0.007 * cpu_scale, 0.031 * disk_scale, 0.005, 0.400}},
+             {0.007 * cpu_scale, 0.031 * disk_scale, 0.005, 0.400},
+             nullptr},
         };
         core::finalize_multiclass_options(spec.options);
         fleet.push_back(std::move(spec));

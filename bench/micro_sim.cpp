@@ -2,12 +2,13 @@
 // raw event throughput of the typed engine and end-to-end closed-network
 // simulation cost, single-run and replicated.  After the google-benchmark
 // pass, main() times the typed engine's events/sec, the parallel vs
-// sequential R=8 replication throughput, and the cost per simulated visit
-// of the paper pipeline's two heaviest campaign cells; it checks that
-// parallel and sequential replications merge to bit-identical results and
-// writes bench_out/BENCH_sim.json.  The exit code gates only the
-// determinism parity — wall-clock numbers are recorded, not asserted
-// (shared runners are too noisy to gate on).
+// sequential R=8 replication throughput, the cost per simulated visit of
+// the paper pipeline's two heaviest campaign cells, and the parallel
+// efficiency of the pipeline's six campaign shapes on its 2-worker pool;
+// it checks that parallel and sequential replications merge to
+// bit-identical results and writes bench_out/BENCH_sim.json.  The exit
+// code gates only the determinism parity — wall-clock numbers are
+// recorded, not asserted (shared runners are too noisy to gate on).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -25,6 +26,7 @@
 #include "sim/event_engine.hpp"
 #include "sim/replicated.hpp"
 #include "workload/campaign.hpp"
+#include "workload/test_plan.hpp"
 
 namespace {
 
@@ -167,6 +169,45 @@ void time_heavy_cell(const workload::ApplicationModel& app, HeavyCell& cell,
   cell.ns_per_visit = cell.ms * 1e6 / static_cast<double>(cell.visits);
 }
 
+/// One campaign shape of perfbench's pipeline-chebyshev ops: an app's
+/// Chebyshev nodes plus N = 1, the op's simulated budget split evenly over
+/// the levels, 2 replications per level.  The campaign runs sequentially
+/// and on a pool of kPoolWorkers workers, whose caller joins in, so
+/// efficiency = sequential / (threads x pooled) with threads = workers + 1.
+struct CampaignShape {
+  const char* app;
+  std::size_t nodes;
+  double budget_s;
+  std::size_t levels = 0;
+  double sequential_ms = 0.0;
+  double pooled_ms = 0.0;
+  double efficiency = 0.0;
+};
+
+constexpr std::size_t kPoolWorkers = 2;
+
+void time_campaign_shape(const workload::ApplicationModel& app,
+                         unsigned max_users, CampaignShape& shape, int reps) {
+  const std::vector<unsigned> levels = workload::plan_concurrency_levels(
+      1, max_users, shape.nodes, workload::SamplingStrategy::kChebyshev, 1,
+      /*include_single_user=*/true);
+  shape.levels = levels.size();
+  workload::CampaignSettings settings;
+  settings.grinder.duration_s =
+      shape.budget_s / static_cast<double>(levels.size());
+  settings.seed = 101;
+  settings.replications = 2;
+  shape.sequential_ms = min_over_reps(
+      reps, [&] { workload::run_campaign(app, levels, settings); });
+  ThreadPool pool(kPoolWorkers);
+  settings.pool = &pool;
+  shape.pooled_ms = min_over_reps(
+      reps, [&] { workload::run_campaign(app, levels, settings); });
+  shape.efficiency =
+      shape.sequential_ms /
+      (static_cast<double>(kPoolWorkers + 1) * shape.pooled_ms);
+}
+
 int write_bench_json() {
   constexpr int kChainEvents = 2'000'000;
   constexpr int kReps = 3;
@@ -219,6 +260,20 @@ int write_bench_json() {
   time_heavy_cell(apps::make_vins(), heavy[0], kReps + 2);
   time_heavy_cell(app, heavy[1], kReps + 2);
 
+  // The budgets are perfbench's: 82 s per VINS op, 160 s per JPetStore op.
+  const auto vins = apps::make_vins();
+  std::vector<CampaignShape> shapes;
+  for (const bool is_vins : {true, false}) {
+    for (const std::size_t nodes : {3, 5, 7}) {
+      CampaignShape& shape = shapes.emplace_back(CampaignShape{
+          is_vins ? "vins" : "jpetstore", nodes, is_vins ? 82.0 : 160.0});
+      time_campaign_shape(
+          is_vins ? vins : app,
+          is_vins ? apps::kVinsMaxUsers : apps::kJPetStoreMaxUsers, shape,
+          kReps);
+    }
+  }
+
   std::printf("\nevent engine: %.1f ms (%.0f events/s)\n", typed_ms,
               typed_eps);
   std::printf("replicated JPetStore level (R=8, N=70): sequential %.1f ms, "
@@ -229,6 +284,12 @@ int write_bench_json() {
                 "%llu visits, %.1f ns/visit\n",
                 c.app, c.customers, c.duration_s, c.ms,
                 static_cast<unsigned long long>(c.visits), c.ns_per_visit);
+  }
+  for (const CampaignShape& c : shapes) {
+    std::printf("pipeline campaign %s %zu nodes + N=1 (%.0f s, R=2): "
+                "sequential %.1f ms, pool(%zu) %.1f ms, efficiency %.2f\n",
+                c.app, c.nodes, c.budget_s, c.sequential_ms, kPoolWorkers,
+                c.pooled_ms, c.efficiency);
   }
   std::printf("parallel == sequential merge: %s\n",
               deterministic ? "bit-identical" : "MISMATCH");
@@ -270,6 +331,22 @@ int write_bench_json() {
                  static_cast<unsigned long long>(c.visits),
                  static_cast<unsigned long long>(c.transactions), c.ms,
                  c.ns_per_visit, i + 1 < std::size(heavy) ? "," : "");
+  }
+  std::fprintf(f,
+               "  ],\n"
+               "  \"campaign_pool_workers\": %zu,\n"
+               "  \"campaign_efficiency\": [\n",
+               kPoolWorkers);
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const CampaignShape& c = shapes[i];
+    std::fprintf(f,
+                 "    {\"app\": \"%s\", \"nodes\": %zu, \"levels\": %zu, "
+                 "\"budget_s\": %.1f, \"replications\": 2, "
+                 "\"sequential_ms\": %.2f, \"pooled_ms\": %.2f, "
+                 "\"efficiency\": %.3f}%s\n",
+                 c.app, c.nodes, c.levels, c.budget_s, c.sequential_ms,
+                 c.pooled_ms, c.efficiency,
+                 i + 1 < shapes.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

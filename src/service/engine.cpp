@@ -155,8 +155,9 @@ void Engine::finish_flight(const Fingerprint& fp,
                            const std::shared_ptr<Flight>& flight,
                            std::shared_ptr<const core::MvaResult> result) {
   {
-    // Retire before publishing: the result is already in the cache, so a
-    // request that misses the (gone) flight finds it there instead.
+    // Retire before publishing.  The result is already in the cache, so a
+    // request that probed before the store and finds no flight becomes a
+    // leader, and its second probe finds the entry instead of solving.
     std::lock_guard<std::mutex> lock(flights_mutex_);
     const auto it = flights_.find(fp);
     if (it != flights_.end() && it->second == flight) flights_.erase(it);
@@ -203,6 +204,19 @@ Evaluation Engine::await_flight(const core::ScenarioSpec& spec,
     ev.result = std::make_shared<const core::MvaResult>(result->prefix(want));
   }
   return ev;
+}
+
+Evaluation Engine::serve_hit(const std::string& label,
+                             std::shared_ptr<const core::MvaResult> cached,
+                             unsigned want) {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  if (cached->levels() == want) {
+    return Evaluation{label, std::move(cached), true, false, 0.0};
+  }
+  // Prefix hit: the result copy runs outside the shard lock.
+  prefix_hits_.fetch_add(1, std::memory_order_relaxed);
+  auto trimmed = std::make_shared<const core::MvaResult>(cached->prefix(want));
+  return Evaluation{label, std::move(trimmed), true, true, 0.0};
 }
 
 std::shared_ptr<const core::MvaResult> Engine::lookup(const Fingerprint& fp,
@@ -334,15 +348,7 @@ Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
 
   GridLease lease;
   if (auto cached = lookup(fp, want, &lease)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (cached->levels() == want) {
-      return Evaluation{spec.label, std::move(cached), true, false, 0.0};
-    }
-    // Prefix hit: the result copy runs outside the shard lock.
-    prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-    auto trimmed =
-        std::make_shared<const core::MvaResult>(cached->prefix(want));
-    return Evaluation{spec.label, std::move(trimmed), true, true, 0.0};
+    return serve_hit(spec.label, std::move(cached), want);
   }
 
   std::shared_ptr<Flight> flight;
@@ -350,6 +356,12 @@ Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
     case FlightRole::kFollower:
       return await_flight(spec, fp, flight);
     case FlightRole::kLeader: {
+      // A previous leader may have stored its result and retired its
+      // flight since the probe above.
+      if (auto cached = lookup(fp, want, &lease)) {
+        finish_flight(fp, flight, cached);
+        return serve_hit(spec.label, std::move(cached), want);
+      }
       misses_.fetch_add(1, std::memory_order_relaxed);
       try {
         Evaluation ev = solve_miss(spec, fp, std::move(lease));
@@ -432,15 +444,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
     const core::ScenarioSpec& spec = specs[rep.spec_index];
     const unsigned want = spec.options.max_population;
     if (auto cached = lookup(rep.fp, want, &rep.lease)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (cached->levels() == want) {
-        rep.eval = Evaluation{spec.label, std::move(cached), true, false, 0.0};
-      } else {
-        prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-        auto trimmed =
-            std::make_shared<const core::MvaResult>(cached->prefix(want));
-        rep.eval = Evaluation{spec.label, std::move(trimmed), true, true, 0.0};
-      }
+      rep.eval = serve_hit(spec.label, std::move(cached), want);
       continue;
     }
     switch (join_or_lead(rep.fp, want, &rep.flight)) {
@@ -449,6 +453,14 @@ std::vector<Evaluation> Engine::evaluate_batch(
         follower_reps.push_back(r);
         break;
       case FlightRole::kLeader:
+        // Probe again, as evaluate() does.
+        if (auto cached = lookup(rep.fp, want, &rep.lease)) {
+          finish_flight(rep.fp, rep.flight, cached);
+          rep.flight = nullptr;
+          rep.eval = serve_hit(spec.label, std::move(cached), want);
+          break;
+        }
+        [[fallthrough]];
       case FlightRole::kIndependent:
         misses_.fetch_add(1, std::memory_order_relaxed);
         miss_reps.push_back(r);
@@ -622,16 +634,8 @@ std::vector<Evaluation> Engine::evaluate_batch(
       out[i].label = specs[i].label;
       continue;
     }
-    const unsigned want = specs[i].options.max_population;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (rep.eval.result->levels() == want) {
-      out[i] = Evaluation{specs[i].label, rep.eval.result, true, false, 0.0};
-    } else {
-      prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-      auto trimmed = std::make_shared<const core::MvaResult>(
-          rep.eval.result->prefix(want));
-      out[i] = Evaluation{specs[i].label, std::move(trimmed), true, true, 0.0};
-    }
+    out[i] = serve_hit(specs[i].label, rep.eval.result,
+                       specs[i].options.max_population);
   }
   return out;
 }

@@ -36,9 +36,11 @@
 // for the same structure (at the same or a shallower population) that
 // arrive while the solve is in flight wait for the leader's result instead
 // of redundantly re-solving — one solve fans out to every waiter.  Waiters
-// count as cache hits with the `coalesced` flag set.  A request *deeper*
-// than the in-flight solve runs independently (the deepen-in-place store
-// keeps whichever result is deeper).
+// count as cache hits with the `coalesced` flag set.  A new leader probes
+// the cache once more, since the previous leader may have stored its result
+// and retired its flight after the first probe.  A request *deeper* than
+// the in-flight solve runs independently (the deepen-in-place store keeps
+// whichever result is deeper).
 #pragma once
 
 #include <array>
@@ -227,6 +229,12 @@ class Engine final : public core::ScenarioEvaluator {
   Evaluation await_flight(const core::ScenarioSpec& spec,
                           const Fingerprint& fp,
                           const std::shared_ptr<Flight>& flight);
+
+  /// Count a cache hit on `cached` (at least `want` levels deep) and serve
+  /// it, trimmed to `want` levels when deeper.
+  Evaluation serve_hit(const std::string& label,
+                       std::shared_ptr<const core::MvaResult> cached,
+                       unsigned want);
 
   /// Cache probe: the cached result when it covers `want` levels (LRU
   /// bumped), else null.  `lease` receives the entry's cached grid state

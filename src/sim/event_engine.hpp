@@ -27,8 +27,17 @@
 // a binary heap; sift-down does more comparisons per level but they hit
 // one or two cache lines, which is the right trade for the short-deadline
 // event mixes a closed queueing network generates.
+//
+// Events order by one 128-bit integer key: the bit pattern of `time` in the
+// high word, `seq` in the low word.  Event times are never negative or NaN
+// (schedule rejects such delays), and non-negative doubles order like their
+// bit patterns, so the key gives exactly the (time, seq) order; the one
+// exception, -0.0, schedule turns into +0.0.  Comparing two keys is a
+// cmp/sbb pair, so sift-down picks the smallest child with conditional
+// moves instead of one unpredictable branch per child.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -80,7 +89,9 @@ class EventEngine {
   void schedule(double delay, EventOp op, std::uint32_t a = 0,
                 std::uint32_t b = 0, double payload = 0.0) {
     MTPERF_REQUIRE(delay >= 0.0, "cannot schedule events in the past");
-    const Event ev{now_ + delay, next_seq_++, op, a, b, payload};
+    // `+ 0.0` turns a -0.0 sum into +0.0 and leaves every other time as it
+    // is: -0.0's bit pattern would sort after every positive time.
+    const Event ev{now_ + delay + 0.0, next_seq_++, op, a, b, payload};
     (op == EventOp::kThinkDone ? think_ : other_).push(ev);
   }
 
@@ -111,9 +122,14 @@ class EventEngine {
   }
 
  private:
-  /// (time, seq) order without short-circuit branches.
+  /// The (time, seq) order as one integer (see the file comment).
+  __extension__ using Key = unsigned __int128;
+  static Key key(const Event& ev) noexcept {
+    return (static_cast<Key>(std::bit_cast<std::uint64_t>(ev.time)) << 64) |
+           ev.seq;
+  }
   static bool before(const Event& x, const Event& y) noexcept {
-    return (x.time < y.time) | ((x.time == y.time) & (x.seq < y.seq));
+    return key(x) < key(y);
   }
 
   /// Index-based 4-ary min-heap of events whose root removal is deferred:
@@ -153,9 +169,10 @@ class EventEngine {
    private:
     void sift_up(std::size_t i, const Event& ev) noexcept {
       Event* const h = slots_.data();
+      const Key k = key(ev);
       while (i > 0) {
         const std::size_t parent = (i - 1) / 4;
-        if (!before(ev, h[parent])) break;
+        if (k >= key(h[parent])) break;
         h[i] = h[parent];
         i = parent;
       }
@@ -163,18 +180,24 @@ class EventEngine {
     }
 
     /// Place `ev` at slot i (vacant or to be overwritten) and sift it down.
+    /// The smallest child is picked with selects, not a branch per child.
     void sift_down(std::size_t i, const Event& ev) noexcept {
       Event* const h = slots_.data();
       const std::size_t n = slots_.size();
+      const Key k = key(ev);
       for (;;) {
         const std::size_t first = 4 * i + 1;
         if (first >= n) break;
         std::size_t best = first;
+        Key best_key = key(h[first]);
         const std::size_t last = first + 4 < n ? first + 4 : n;
         for (std::size_t c = first + 1; c < last; ++c) {
-          if (before(h[c], h[best])) best = c;
+          const Key ck = key(h[c]);
+          const bool less = ck < best_key;
+          best = less ? c : best;
+          best_key = less ? ck : best_key;
         }
-        if (!before(h[best], ev)) break;
+        if (best_key >= k) break;
         h[i] = h[best];
         i = best;
       }

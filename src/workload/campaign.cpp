@@ -26,9 +26,11 @@ CampaignResult run_campaign(const ApplicationModel& app,
 
   // Fire R simulated Grinder replications per level as one flat task grid
   // (cell = level x replication): every cell is an independent simulation,
-  // so a single parallel_for saturates the pool without nesting, and the
-  // per-level merges run afterwards in fixed order — deterministic at any
-  // pool size.
+  // so one parallel_for runs them without nesting, and the per-level merges
+  // run afterwards in fixed order — deterministic at any pool size.  Cells
+  // are claimed from the highest level down.  Every level simulates the
+  // same time and a cell's visits grow with N up to saturation, flat after
+  // it, so this is longest-processing-time-first without an estimate.
   MTPERF_REQUIRE(settings.replications >= 1,
                  "campaign needs at least one replication");
   const std::size_t reps = settings.replications;
@@ -43,7 +45,8 @@ CampaignResult run_campaign(const ApplicationModel& app,
     return ropts;
   };
   std::vector<sim::ReplicationRun> grid(levels.size() * reps);
-  auto run_cell = [&](std::size_t cell) {
+  auto run_cell = [&](std::size_t k) {
+    const std::size_t cell = grid.size() - 1 - k;
     const std::size_t i = cell / reps;
     const auto rep = static_cast<unsigned>(cell % reps);
     grid[cell] = sim::run_replication(app.stations(),
@@ -53,7 +56,7 @@ CampaignResult run_campaign(const ApplicationModel& app,
   if (settings.pool != nullptr) {
     parallel_for(*settings.pool, grid.size(), run_cell);
   } else {
-    for (std::size_t cell = 0; cell < grid.size(); ++cell) run_cell(cell);
+    for (std::size_t k = 0; k < grid.size(); ++k) run_cell(k);
   }
 
   std::vector<CampaignRun> runs(levels.size());

@@ -78,6 +78,45 @@ TEST(EventEngine, RejectsPastScheduling) {
                invalid_argument_error);
 }
 
+TEST(EventEngine, KeyEdgeCasesKeepScheduleOrder) {
+  // The heaps order events by an integer key over the time's bit pattern.
+  // Three inputs where that pattern needs care: a -0.0 time (its pattern
+  // sorts after every positive one), +inf, and equal times split across
+  // the think and the service heap.
+  std::vector<std::uint32_t> order;
+  const auto record = [&](const Event& ev) { order.push_back(ev.a); };
+
+  EventEngine zero;
+  zero.run_until(-0.0, record);
+  zero.schedule(-0.0, EventOp::kTick, 0);
+  zero.schedule(0.0, EventOp::kTick, 1);
+  zero.schedule(-0.0, EventOp::kTick, 2);
+  zero.run_until(0.0, record);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2}));
+
+  order.clear();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EventEngine inf;
+  inf.schedule(kInf, EventOp::kTick, 0);
+  inf.schedule(kInf, EventOp::kThinkDone, 1);
+  for (std::uint32_t i = 2; i < 6; ++i) {
+    inf.schedule(static_cast<double>(i),
+                 i % 2 ? EventOp::kThinkDone : EventOp::kTick, i);
+  }
+  inf.run_until(std::numeric_limits<double>::max(), record);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{2, 3, 4, 5}));
+  EXPECT_EQ(inf.pending_events(), 2u);
+
+  order.clear();
+  EventEngine tie;
+  tie.schedule(2.0, EventOp::kThinkDone, 0);
+  tie.schedule(2.0, EventOp::kDeparture, 1);
+  tie.schedule(3.0, EventOp::kDeparture, 2);
+  tie.schedule(3.0, EventOp::kThinkDone, 3);
+  tie.run_until(3.0, record);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+}
+
 TEST(EventEngine, HeapStressMatchesSortedReference) {
   // A few thousand events of random op and coarse time, so simultaneous
   // events land in both the think and the service heap; handlers that

@@ -299,16 +299,58 @@ TEST(Campaign, ExtractedDemandsApproximateTrueDemands) {
   }
 }
 
+/// Every SimResult field, bit for bit (the fields test_sim_golden pins).
+void expect_same_sim(const sim::SimResult& a, const sim::SimResult& b) {
+  EXPECT_EQ(a.transactions, b.transactions);
+  EXPECT_EQ(a.throughput, b.throughput);
+  EXPECT_EQ(a.response_time, b.response_time);
+  EXPECT_EQ(a.cycle_time, b.cycle_time);
+  EXPECT_EQ(a.response_time_ci.mean, b.response_time_ci.mean);
+  EXPECT_EQ(a.response_time_ci.half_width, b.response_time_ci.half_width);
+  EXPECT_EQ(a.response_percentiles.p50, b.response_percentiles.p50);
+  EXPECT_EQ(a.response_percentiles.p90, b.response_percentiles.p90);
+  EXPECT_EQ(a.response_percentiles.p95, b.response_percentiles.p95);
+  EXPECT_EQ(a.response_percentiles.p99, b.response_percentiles.p99);
+  ASSERT_EQ(a.stations.size(), b.stations.size());
+  for (std::size_t k = 0; k < a.stations.size(); ++k) {
+    EXPECT_EQ(a.stations[k].utilization, b.stations[k].utilization);
+    EXPECT_EQ(a.stations[k].mean_jobs, b.stations[k].mean_jobs);
+    EXPECT_EQ(a.stations[k].completions, b.stations[k].completions);
+  }
+  ASSERT_EQ(a.timeline.size(), b.timeline.size());
+  for (std::size_t t = 0; t < a.timeline.size(); ++t) {
+    EXPECT_EQ(a.timeline[t].start_time, b.timeline[t].start_time);
+    EXPECT_EQ(a.timeline[t].throughput, b.timeline[t].throughput);
+    EXPECT_EQ(a.timeline[t].response_time, b.timeline[t].response_time);
+  }
+}
+
 TEST(Campaign, ParallelAndSequentialAgree) {
+  // The grid's cells are claimed from the highest level down, so with 4
+  // levels x 2 replications the claim order is not the index order, and on
+  // a pool it varies from run to run.  Every level must still merge to the
+  // sequential result bit for bit, at every pool size.
   const auto app = tiny_app();
   CampaignSettings s = quick_settings();
-  const auto seq = run_campaign(app, {1, 4}, s);
-  ThreadPool pool(2);
-  s.pool = &pool;
-  const auto par = run_campaign(app, {1, 4}, s);
-  ASSERT_EQ(seq.runs.size(), par.runs.size());
-  for (std::size_t i = 0; i < seq.runs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(seq.runs[i].sim.throughput, par.runs[i].sim.throughput);
+  s.replications = 2;
+  const std::vector<unsigned> levels{1, 3, 6, 10};
+  const auto seq = run_campaign(app, levels, s);
+  ASSERT_EQ(seq.runs.size(), levels.size());
+  for (const std::size_t workers : {1, 2, 3}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    s.pool = &pool;
+    const auto par = run_campaign(app, levels, s);
+    ASSERT_EQ(par.runs.size(), seq.runs.size());
+    for (std::size_t i = 0; i < seq.runs.size(); ++i) {
+      SCOPED_TRACE(levels[i]);
+      EXPECT_EQ(par.runs[i].concurrency, levels[i]);
+      EXPECT_EQ(par.runs[i].replications, seq.runs[i].replications);
+      EXPECT_EQ(par.runs[i].throughput_ci.mean, seq.runs[i].throughput_ci.mean);
+      EXPECT_EQ(par.runs[i].throughput_ci.half_width,
+                seq.runs[i].throughput_ci.half_width);
+      expect_same_sim(par.runs[i].sim, seq.runs[i].sim);
+    }
   }
 }
 

@@ -15,8 +15,7 @@
 //   the bounded submission queue or a connection's in-flight cap is full
 //   the server sheds with an immediate {"error":"overloaded"} line —
 //
-//     $ ./tools/mtperf_serve --port 7171 --batch-size 64 \
-//         --batch-deadline-us 2000 --queue-capacity 1024
+//     $ ./tools/mtperf_serve --port 7171 --batch-size 64 --queue-capacity 1024
 //
 // See service/request.hpp for the request/response schema (it is the
 // same on both transports).  Besides flat scenario requests, both
