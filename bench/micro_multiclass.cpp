@@ -9,6 +9,11 @@
 // parity check (rel. 1e-9).  The 512-per-class row is beyond the lattice
 // guard (2 * 513^3 > 2^28): the seed solver must refuse while MoM answers.
 //
+// Part 1b — wider networks: the same parity check and timings on mixes
+// over four and six queueing stations, where the moment lattice has more
+// than two coordinates.  The four-station row is the cold-serving
+// benchmark's mom-multiclass shape without its demand jitter.
+//
 // Part 2 — a 3-class what-if batch through service::Engine: 12 demand
 // variants evaluated cold (all misses) and again warm (all structural
 // cache hits).
@@ -83,6 +88,65 @@ struct MixRow {
   double max_rel_delta = 0.0;
 };
 
+/// Largest relative X or R gap per class between MoM's single level and
+/// the exact recursion's top level.
+double max_rel_delta(const core::MvaResult& exact, const core::MvaResult& mom,
+                     std::size_t classes) {
+  const std::size_t top = exact.levels() - 1;
+  double worst = 0.0;
+  for (std::size_t c = 0; c < classes; ++c) {
+    const double x_exact = exact.class_x(top, c);
+    const double r_exact = exact.class_r(top, c);
+    worst = std::max(worst, std::abs(mom.class_x(0, c) - x_exact) /
+                                std::max(1.0, std::abs(x_exact)));
+    worst = std::max(worst, std::abs(mom.class_r(0, c) - r_exact) /
+                                std::max(1.0, std::abs(r_exact)));
+  }
+  return worst;
+}
+
+/// A mix over more than two queueing stations.
+struct ShapeRow {
+  const char* name = "";
+  core::ClosedNetwork network;
+  std::vector<core::CustomerClass> classes;
+  unsigned customers = 0;
+  double exact_ms = 0.0;
+  double mom_ms = 0.0;
+  double max_rel_delta = 0.0;
+};
+
+/// The cold-serving benchmark's mom-multiclass shape without its demand
+/// jitter: browse, search and buy at 5, 4 and 6 customers.
+ShapeRow cold_corpus_shape() {
+  constexpr double kBase[] = {0.006, 0.010, 0.008, 0.012};
+  constexpr double kScale[] = {0.8, 1.2, 1.6};
+  constexpr const char* kNames[] = {"browse", "search", "buy"};
+  constexpr unsigned kPopulation[] = {5, 4, 6};
+  constexpr double kThink[] = {2.0, 3.0, 1.0};
+  std::vector<core::CustomerClass> classes;
+  for (std::size_t c = 0; c < 3; ++c) {
+    std::vector<double> demands;
+    for (const double base : kBase) demands.push_back(base * kScale[c]);
+    classes.push_back({kNames[c], kPopulation[c], kThink[c], demands, nullptr});
+  }
+  return {"cold_corpus",
+          core::make_network({"web/cpu", "app/cpu", "db/cpu", "db/disk"},
+                             {1, 1, 1, 1}, 0.0),
+          classes};
+}
+
+/// Three classes of four customers over six queueing stations.
+ShapeRow six_station_shape() {
+  return {
+      "six_station",
+      core::make_network({"lb", "web", "app", "cache", "db", "disk"},
+                         {1, 1, 1, 1, 1, 1}, 0.0),
+      {{"browse", 4, 1.0, {0.002, 0.006, 0.008, 0.001, 0.004, 0.010}, nullptr},
+       {"search", 4, 1.5, {0.002, 0.004, 0.012, 0.003, 0.006, 0.004}, nullptr},
+       {"buy", 4, 2.0, {0.003, 0.005, 0.006, 0.000, 0.012, 0.014}, nullptr}}};
+}
+
 /// One what-if variant: browse demands scaled by `factor`, MoM kind.
 core::ScenarioSpec whatif_spec(double factor) {
   core::ScenarioSpec spec;
@@ -114,25 +178,13 @@ int main() {
     row.exact_ms = min_over_reps(reps, [&] {
       exact = solve_mix(core::SolverKind::kExactMulticlass, network, classes);
     });
-    const std::size_t top = exact.levels() - 1;
 
     core::MvaResult mom;
     row.mom_ms = min_over_reps(reps, [&] {
       mom = solve_mix(core::SolverKind::kMomMulticlass, network, classes);
     });
 
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-      const double x_exact = exact.class_x(top, c);
-      const double x_mom = mom.class_x(0, c);
-      const double rel =
-          std::abs(x_mom - x_exact) / std::max(1.0, std::abs(x_exact));
-      row.max_rel_delta = std::max(row.max_rel_delta, rel);
-      const double r_exact = exact.class_r(top, c);
-      const double r_mom = mom.class_r(0, c);
-      row.max_rel_delta =
-          std::max(row.max_rel_delta,
-                   std::abs(r_mom - r_exact) / std::max(1.0, std::abs(r_exact)));
-    }
+    row.max_rel_delta = max_rel_delta(exact, mom, classes.size());
     parity_ok = parity_ok && row.max_rel_delta <= kParityTol;
     rows.push_back(row);
   }
@@ -169,6 +221,32 @@ int main() {
       std::printf("  %9u %12s %12.3f %10s %14s\n", row.per_class,
                   "refused", row.mom_ms, "-", "-");
     }
+  }
+
+  // --- Part 1b: wider networks ---------------------------------------------
+  std::vector<ShapeRow> shapes{cold_corpus_shape(), six_station_shape()};
+  for (ShapeRow& row : shapes) {
+    for (const auto& cls : row.classes) row.customers += cls.population;
+    core::MvaResult exact;
+    row.exact_ms = min_over_reps(20, [&] {
+      exact = solve_mix(core::SolverKind::kExactMulticlass, row.network,
+                        row.classes);
+    });
+    core::MvaResult mom;
+    row.mom_ms = min_over_reps(20, [&] {
+      mom = solve_mix(core::SolverKind::kMomMulticlass, row.network,
+                      row.classes);
+    });
+    row.max_rel_delta = max_rel_delta(exact, mom, row.classes.size());
+    parity_ok = parity_ok && row.max_rel_delta <= kParityTol;
+  }
+  std::printf("\nMoM vs seed exact recursion on wider networks\n");
+  std::printf("  %-12s %8s %10s %12s %12s %14s\n", "mix", "stations",
+              "customers", "exact ms", "mom ms", "max rel delta");
+  for (const ShapeRow& row : shapes) {
+    std::printf("  %-12s %8zu %10u %12.4f %12.4f %14.3g\n", row.name,
+                row.network.size(), row.customers, row.exact_ms, row.mom_ms,
+                row.max_rel_delta);
   }
 
   // --- Part 2: cold vs warm what-if batch through the engine ---------------
@@ -224,6 +302,17 @@ int main() {
                    row.per_class, row.mom_ms,
                    i + 1 < rows.size() ? "," : "");
     }
+  }
+  std::fprintf(f, "  ],\n  \"shapes\": [\n");
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const ShapeRow& row = shapes[i];
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"stations\": %zu, "
+                 "\"customers\": %u, \"exact_ms\": %.4f, "
+                 "\"mom_ms\": %.4f, \"max_rel_delta\": %.3g}%s\n",
+                 row.name, row.network.size(), row.customers, row.exact_ms,
+                 row.mom_ms, row.max_rel_delta,
+                 i + 1 < shapes.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n"
