@@ -1,0 +1,79 @@
+// Golden bits of single-class MvaResult rows, shared by the suites that pin
+// a solver's output: at chosen population levels, the system throughput X,
+// response time R and cycle time Z plus every station's queue Q,
+// utilization U and residence, compared with EXPECT_EQ against hex-float
+// literals.
+//
+// A case whose literal list is empty fails and prints this build's
+// literals in paste-ready form.  That is how a new case is captured, and
+// how a case is regenerated on a toolchain whose libm or code generation
+// moves the last bits (never by loosening a comparison).
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/result.hpp"
+
+namespace mtperf::golden {
+
+/// {X, R, Z, Q_0..Q_{K-1}, U_0..U_{K-1}, residence_0..residence_{K-1}} of
+/// one result row.
+inline std::vector<double> row_values(const core::MvaResult& r,
+                                      std::size_t row) {
+  std::vector<double> v = {r.throughput[row], r.response_time[row],
+                           r.cycle_time[row]};
+  for (std::size_t k = 0; k < r.stations(); ++k) v.push_back(r.queue(row, k));
+  for (std::size_t k = 0; k < r.stations(); ++k) {
+    v.push_back(r.utilization(row, k));
+  }
+  for (std::size_t k = 0; k < r.stations(); ++k) {
+    v.push_back(r.residence(row, k));
+  }
+  return v;
+}
+
+/// Name of entry i of row_values for a result with k_count stations.
+inline std::string field_name(std::size_t i, std::size_t k_count) {
+  if (i < 3) return i == 0 ? "X" : i == 1 ? "R" : "Z";
+  const std::size_t k = (i - 3) % k_count;
+  const char* kinds[] = {"Q", "U", "residence"};
+  return std::string(kinds[(i - 3) / k_count]) + " of station " +
+         std::to_string(k);
+}
+
+/// Compare `r` at populations `levels` against `golden` (one row_values
+/// list per level), bit for bit.
+inline void expect_rows(const core::MvaResult& r,
+                        const std::vector<unsigned>& levels,
+                        const std::vector<std::vector<double>>& golden) {
+  if (golden.empty()) {
+    std::ostringstream out;
+    out << std::hexfloat;
+    for (const unsigned n : levels) {
+      const std::vector<double> v = row_values(r, r.row_for(n));
+      out << "{";
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        out << (i == 0 ? "" : i % 3 == 0 ? ",\n " : ", ") << v[i];
+      }
+      out << "},\n";
+    }
+    ADD_FAILURE() << "no golden literals; this build's are:\n" << out.str();
+    return;
+  }
+  ASSERT_EQ(golden.size(), levels.size());
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    SCOPED_TRACE("population " + std::to_string(levels[l]));
+    const std::vector<double> v = row_values(r, r.row_for(levels[l]));
+    ASSERT_EQ(v.size(), golden[l].size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      EXPECT_EQ(v[i], golden[l][i]) << field_name(i, r.stations());
+    }
+  }
+}
+
+}  // namespace mtperf::golden

@@ -1,8 +1,8 @@
 // Tests for the lane-major batched MVA kernel: structure grouping,
 // lockstep parity against per-spec scalar solves (VINS- and
 // JPetStore-shaped fixtures, multi-server + delay stations, both demand
-// axes, ragged populations), the solve_batch facade, and the scenario
-// engine's batch dedup + cached-grid deepening.
+// axes, ragged populations), the solve_batch facade, the scenario
+// engine's batch dedup + cached-grid deepening, and mvasd's golden bits.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +19,7 @@
 #include "core/solve.hpp"
 #include "core/sweep.hpp"
 #include "interp/cubic_spline.hpp"
+#include "golden_rows.hpp"
 #include "service/engine.hpp"
 
 namespace mtperf {
@@ -683,6 +684,160 @@ TEST(DemandGrid, DeepeningConstructorMatchesFreshTabulation) {
       EXPECT_EQ(deepened.at(n, k), fresh.at(n, k)) << "n=" << n << " k=" << k;
     }
   }
+}
+
+// ------------------------------------------------------- mvasd golden bits
+//
+// Every number mvasd reports at three levels of a fixed set of solves,
+// pinned bit for bit (golden_rows.hpp).  Scalar core::solve, a one-lane
+// block and a lane of a ragged 16-lane block must all give the same
+// literals.  The network has 1-, 16- and 64-server queueing stations and a
+// delay station; demands are constant, concurrency-axis splines or
+// throughput-axis splines.  The literals were captured from the default
+// build (Release, GCC 12.2, x86-64); the kernels compile with
+// -ffp-contract=off, so a rewrite that keeps the arithmetic and its order
+// keeps these bits.
+
+enum class GoldenDemands { kConstant, kConcurrency, kThroughput };
+
+/// A 16-core web tier, a 64-core app tier, a single-server disk visited
+/// twice and a CDN delay hop, with the demands scaled by `scale`.
+ScenarioSpec mvasd_golden_spec(GoldenDemands kind, double scale,
+                               unsigned users) {
+  constexpr double kBase[] = {0.08, 0.45, 0.0025, 0.05};
+  ScenarioSpec spec;
+  spec.label = "golden";
+  spec.network = ClosedNetwork(
+      {Station{"web/cpu", 1.0, 16, StationKind::kQueueing},
+       Station{"app/cpu", 1.0, 64, StationKind::kQueueing},
+       Station{"db/disk", 2.0, 1, StationKind::kQueueing},
+       Station{"cdn", 1.0, 1, StationKind::kDelay}},
+      1.0);
+  if (kind == GoldenDemands::kConstant) {
+    std::vector<double> demands;
+    for (const double b : kBase) demands.push_back(b * scale);
+    spec.demands = DemandModel::constant(std::move(demands));
+  } else {
+    // Concurrency knots span the solved populations; throughput knots span
+    // X up to about the app tier's capacity (64 / 0.45 = 142 per second).
+    const bool by_x = kind == GoldenDemands::kThroughput;
+    const std::vector<double> knots =
+        by_x ? std::vector<double>{1.0, 50.0, 100.0, 150.0}
+             : std::vector<double>{1.0, 100.0, 200.0, 300.0};
+    std::vector<std::shared_ptr<const interp::Interpolator1D>> fns;
+    for (const double base : kBase) {
+      const double b = base * scale;
+      fns.push_back(spline_of(knots, {b, 0.94 * b, 0.97 * b, 1.08 * b}));
+    }
+    spec.demands = DemandModel::interpolated(
+        std::move(fns), by_x ? DemandModel::Axis::kThroughput
+                             : DemandModel::Axis::kConcurrency);
+  }
+  spec.options.solver = SolverKind::kMvasd;
+  spec.options.max_population = users;
+  return spec;
+}
+
+/// One ragged 16-lane block through solve_batch: the three golden specs
+/// (scale 1, N = 300) at lanes 0, 4 and 10 among lanes of other scales and
+/// depths, every demand kind mixed into the one block.
+std::vector<MvaResult> mvasd_golden_block() {
+  constexpr unsigned kDepth[] = {300, 17, 250, 1,  300, 64,  128, 300,
+                                 5,   200, 300, 33, 150, 99, 280, 2};
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t l = 0; l < 16; ++l) {
+    const bool golden = l == 0 || l == 4 || l == 10;
+    const auto kind = static_cast<GoldenDemands>(l % 3);
+    specs.push_back(mvasd_golden_spec(
+        golden ? static_cast<GoldenDemands>(l / 4) : kind,
+        golden ? 1.0 : 0.9 + 0.02 * static_cast<double>(l), kDepth[l]));
+  }
+  std::vector<const ScenarioSpec*> ptrs;
+  for (const auto& s : specs) ptrs.push_back(&s);
+  const auto plan = core::detail::plan_batch(ptrs);
+  EXPECT_EQ(plan.blocks.size(), 1u);
+  EXPECT_TRUE(plan.scalars.empty());
+  return core::solve_batch(specs);
+}
+
+void expect_mvasd_golden(GoldenDemands kind, std::size_t block_lane,
+                         const std::vector<std::vector<double>>& golden) {
+  const std::vector<unsigned> levels = {1, 150, 300};
+  const ScenarioSpec spec = mvasd_golden_spec(kind, 1.0, 300);
+  {
+    SCOPED_TRACE("scalar");
+    golden::expect_rows(
+        core::solve(spec.network, &spec.demands, spec.options), levels,
+        golden);
+  }
+  {
+    SCOPED_TRACE("one lane");
+    golden::expect_rows(core::solve_batch({spec})[0], levels, golden);
+  }
+  {
+    SCOPED_TRACE("ragged block");
+    golden::expect_rows(mvasd_golden_block()[block_lane], levels, golden);
+  }
+}
+
+TEST(Mvasd, GoldenConstantDemands) {
+  const std::vector<std::vector<double>> kGolden = {
+      {0x1.430744a4be963p-1, 0x1.2b851eb851eb9p-1, 0x1.95c28f5c28f5cp+0,
+       0x1.9d79f176b682dp-5, 0x1.22b9bdc77854p-2, 0x1.9d79f176b682dp-9,
+       0x1.026c36ea3211cp-5, 0x1.9d79f176b682dp-9, 0x1.22b9bdc77854p-8,
+       0x1.9d79f176b682dp-9, 0x1.026c36ea3211cp-5, 0x1.47ae147ae147bp-4,
+       0x1.ccccccccccccdp-2, 0x1.47ae147ae147bp-8, 0x1.999999999999ap-5},
+      {0x1.76d0b6582f816p+6, 0x1.339a8d70da089p-1, 0x1.99cd46b86d044p+0,
+       0x1.e8361fb3c275ep+2, 0x1.58e215399683dp+5, 0x1.be9d2c168ddadp-1,
+       0x1.2bda2b79bf9abp+2, 0x1.dfc378c2cc2acp-2, 0x1.515570e8f78e1p-1,
+       0x1.dfc378c2cc2acp-2, 0x1.2bda2b79bf9abp+2, 0x1.4d732d97eefa1p-4,
+       0x1.d71cccfe8852ep-2, 0x1.3109e93f998f8p-7, 0x1.999999999999ap-5},
+      {0x1.1ca34efea7c82p+7, 0x1.1ba20865655adp+0, 0x1.0dd10432b2ad6p+1,
+       0x1.86a13ca403fa3p+3, 0x1.0fca145dea963p+7, 0x1.3b4ad31c72d1ep+1,
+       0x1.c76bb19772d9dp+2, 0x1.6c5627ac5be17p-1, 0x1.002c93e5309a8p+0,
+       0x1.6c5627ac5be17p-1, 0x1.c76bb19772d9dp+2, 0x1.5f53ef951a981p-4,
+       0x1.e8e3698909a7dp-1, 0x1.1b91f6b084237p-6, 0x1.999999999999ap-5}};
+  expect_mvasd_golden(GoldenDemands::kConstant, 0, kGolden);
+}
+
+TEST(Mvasd, GoldenConcurrencySplines) {
+  const std::vector<std::vector<double>> kGolden = {
+      {0x1.430744a4be963p-1, 0x1.2b851eb851eb9p-1, 0x1.95c28f5c28f5cp+0,
+       0x1.9d79f176b682dp-5, 0x1.22b9bdc77854p-2, 0x1.9d79f176b682dp-9,
+       0x1.026c36ea3211cp-5, 0x1.9d79f176b682dp-9, 0x1.22b9bdc77854p-8,
+       0x1.9d79f176b682dp-9, 0x1.026c36ea3211cp-5, 0x1.47ae147ae147bp-4,
+       0x1.ccccccccccccdp-2, 0x1.47ae147ae147bp-8, 0x1.999999999999ap-5},
+      {0x1.7eee118cb827fp+6, 0x1.223c4904c823p-1, 0x1.911e248264118p+0,
+       0x1.d83c68912071fp+2, 0x1.4c6acbcf20698p+5, 0x1.a21e56ff49669p-1,
+       0x1.2148554a7096bp+2, 0x1.ceda2210b4246p-2, 0x1.45715ff3bea98p-1,
+       0x1.ceda2210b4246p-2, 0x1.2148554a7096bp+2, 0x1.3bb4267e8d249p-4,
+       0x1.bc761fb80792ep-2, 0x1.17864bb72bef4p-7, 0x1.82c9b2a160548p-5},
+      {0x1.07a787f9bc59dp+7, 0x1.4694aec9badfp+0, 0x1.234a5764dd6f8p+1,
+       0x1.93defecd709abp+3, 0x1.23ed0c1b132e1p+7, 0x1.3c2e7155fdb93p+1,
+       0x1.c79847202ef14p+2, 0x1.6c79d280258ddp-1, 0x1.0045a8021a67bp+0,
+       0x1.6c79d280258ddp-1, 0x1.c79847202ef14p+2, 0x1.882558b9405d3p-4,
+       0x1.1b73657f05d87p+0, 0x1.330085494654ap-6, 0x1.ba5e353f7cedap-5}};
+  expect_mvasd_golden(GoldenDemands::kConcurrency, 4, kGolden);
+}
+
+TEST(Mvasd, GoldenThroughputSplines) {
+  const std::vector<std::vector<double>> kGolden = {
+      {0x1.430744a4be963p-1, 0x1.2b851eb851eb9p-1, 0x1.95c28f5c28f5cp+0,
+       0x1.9d79f176b682dp-5, 0x1.22b9bdc77854p-2, 0x1.9d79f176b682dp-9,
+       0x1.026c36ea3211cp-5, 0x1.9d79f176b682dp-9, 0x1.22b9bdc77854p-8,
+       0x1.9d79f176b682dp-9, 0x1.026c36ea3211cp-5, 0x1.47ae147ae147bp-4,
+       0x1.ccccccccccccdp-2, 0x1.47ae147ae147bp-8, 0x1.999999999999ap-5},
+      {0x1.7d812d95866aap+6, 0x1.253b95905a5dbp-1, 0x1.929dcac82d2eep+0,
+       0x1.e32b5011bb861p+2, 0x1.4d2433bf01628p+5, 0x1.adfb2be24dbc5p-1,
+       0x1.25e0d3218904p+2, 0x1.d634850274d32p-2, 0x1.4a9ced85ba248p-1,
+       0x1.d634850274d32p-2, 0x1.25e0d3218904p+2, 0x1.44383f281453bp-4,
+       0x1.bf180df2f95dep-2, 0x1.208771b9e4f34p-7, 0x1.8a668eaf3907bp-5},
+      {0x1.109786d31c29fp+7, 0x1.337accfe3e9d9p+0, 0x1.19bd667f1f4ecp+1,
+       0x1.9247795ef67abp+3, 0x1.1b2393a808d69p+7, 0x1.3aa8bf2df9494p+1,
+       0x1.c6b95e467658dp+2, 0x1.6bc77e9ec513ep-1, 0x1.ff908a0f4523ep-1,
+       0x1.6bc77e9ec513ep-1, 0x1.c6b95e467658dp+2, 0x1.79cb2901c68cp-4,
+       0x1.09e7b4a77315ep+0, 0x1.2781ba615c1cp-6, 0x1.ab0bdba535cf6p-5}};
+  expect_mvasd_golden(GoldenDemands::kThroughput, 10, kGolden);
 }
 
 }  // namespace
