@@ -132,6 +132,9 @@ class DemandGrid {
   /// True when row() is available (concurrency-axis or constant models).
   bool tabulated() const noexcept { return tabulated_; }
 
+  /// Bytes of the tabulated rows.
+  std::size_t bytes() const noexcept { return grid_.size() * sizeof(double); }
+
   /// The stations() demands at population n (1-based), as one contiguous
   /// row of the tabulated buffer.  Requires tabulated().
   const double* row(unsigned n) const;

@@ -487,6 +487,7 @@ std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes) {
   // Validate the group contract and size each lane's result.
   std::vector<MvaResult> results(L);
   unsigned n_max = 1;
+  bool any_all_rows = false;  // some lane keeps queue and residence rows
   for (std::size_t l = 0; l < L; ++l) {
     BatchLane& lane = lanes[l];
     MTPERF_REQUIRE(lane.network != nullptr && lane.demands != nullptr,
@@ -502,7 +503,8 @@ std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes) {
     for (const auto& station : lane.network->stations()) {
       names.push_back(station.name);
     }
-    results[l].reset(std::move(names), lane.max_population);
+    results[l].reset(std::move(names), lane.max_population, lane.rows);
+    any_all_rows = any_all_rows || lane.rows == StationRows::kAll;
   }
 
   // Per-lane demand access: tabulated lanes read grid rows directly (stride
@@ -584,8 +586,9 @@ std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes) {
   // queue is not staged: queue == x * residence is the recursion's own
   // update expression, so recomputing it lane-by-lane at flush time from
   // the staged throughput and residence is bit-identical and saves a third
-  // of the staging traffic.
-  std::vector<double> r_hist(kLevelWindow * K * Lp);
+  // of the staging traffic.  Residences are staged only when some lane
+  // keeps them; utilization-only lanes flush their utilization rows alone.
+  std::vector<double> r_hist(any_all_rows ? kLevelWindow * K * Lp : 0);
   std::vector<double> u_hist(kLevelWindow * K * Lp);
   std::vector<double> x_hist(kLevelWindow * Lp);
   std::vector<double> rt_hist(kLevelWindow * Lp);
@@ -595,6 +598,7 @@ std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes) {
       const std::size_t lane_end = std::min<std::size_t>(
           up_to_level, lanes[l].max_population);
       MvaResult& r = results[l];
+      const bool all_rows = r.station_rows == StationRows::kAll;
       const double lane_think = think[l];
       for (std::size_t level = win_start; level < lane_end; ++level) {
         const std::size_t w = level - win_start;
@@ -602,11 +606,15 @@ std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes) {
         r.throughput[level] = x_at;
         r.response_time[level] = rt_hist[w * Lp + l];
         r.cycle_time[level] = rt_hist[w * Lp + l] + lane_think;
-        const double* __restrict rh = r_hist.data() + w * K * Lp + l;
         const double* __restrict uh = u_hist.data() + w * K * Lp + l;
+        double* __restrict ur = r.utilization_row(level);
+        if (!all_rows) {
+          for (std::size_t k = 0; k < K; ++k) ur[k] = uh[k * Lp];
+          continue;
+        }
+        const double* __restrict rh = r_hist.data() + w * K * Lp + l;
         double* __restrict qr = r.queue_row(level);
         double* __restrict rr = r.residence_row(level);
-        double* __restrict ur = r.utilization_row(level);
         for (std::size_t k = 0; k < K; ++k) {
           const double res_at = rh[k * Lp];
           rr[k] = res_at;
@@ -665,8 +673,10 @@ std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes) {
     // Stage this population's rows lane-major; they reach the per-lane
     // results when the window flushes (full window or end of recursion).
     const std::size_t w = (n - 1) - win_start;
-    std::memcpy(r_hist.data() + w * K * Lp, residence.data(),
-                K * Lp * sizeof(double));
+    if (any_all_rows) {
+      std::memcpy(r_hist.data() + w * K * Lp, residence.data(),
+                  K * Lp * sizeof(double));
+    }
     std::memcpy(u_hist.data() + w * K * Lp, util.data(),
                 K * Lp * sizeof(double));
     std::memcpy(x_hist.data() + w * Lp, x.data(), Lp * sizeof(double));

@@ -53,6 +53,9 @@ struct BatchLane {
   /// `demands`; left untouched for throughput-axis lanes.  The scenario
   /// engine caches these for deepen-reuse.
   std::shared_ptr<const DemandGrid> grid;
+  /// The station rows this lane's result carries; lanes of one block may
+  /// differ.
+  StationRows rows = StationRows::kAll;
 };
 
 /// True when `kind` runs the exact multi-server recursion the batched

@@ -80,15 +80,20 @@ using SubnetworkEvaluator =
 
 /// The spec whose solution yields `tier`'s FES profile at depth `depth`:
 /// the tier's stations in isolation (original visits and demands, think
-/// time 0), solved by the exact multiserver recursion.  Exposed so tests
-/// can pin the cache key the engine memoizes profiles under.
+/// time 0), solved by the exact multiserver recursion.  The profile carries
+/// the parent solve's `rows`: a utilization-only parent disaggregates only
+/// utilizations, while an all-rows parent reads the member queues.
+/// Exposed so tests can pin the cache key the engine memoizes profiles
+/// under.
 ScenarioSpec subnetwork_spec(const ClosedNetwork& network,
                              const DemandModel& demands, const TierSpec& tier,
-                             unsigned depth);
+                             unsigned depth,
+                             StationRows rows = StationRows::kAll);
 
-/// Solve `network` hierarchically per options.hierarchy (see solve.hpp).
-/// Validates like core::solve; additionally requires concurrency-axis
-/// demands and a positive aggregate demand per tier.
+/// Solve `network` hierarchically per options.hierarchy (see solve.hpp),
+/// storing the station rows options.station_rows asks for.  Validates like
+/// core::solve; additionally requires concurrency-axis demands and a
+/// positive aggregate demand per tier.
 MvaResult solve_hierarchical(const ClosedNetwork& network,
                              const DemandModel* demands,
                              const SolveOptions& options,

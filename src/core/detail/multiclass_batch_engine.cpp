@@ -502,7 +502,7 @@ McBlockLayout validate_block(SolverKind kind,
       class_names.push_back(cls.name);
       class_pops.push_back(cls.population);
     }
-    results[l].reset(std::move(names), layout.depth[l]);
+    results[l].reset(std::move(names), layout.depth[l], lane.rows);
     results[l].reset_classes(std::move(class_names), std::move(class_pops));
     results[l].mc_axis = layout.axis;
   }

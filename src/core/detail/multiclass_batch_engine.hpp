@@ -60,6 +60,9 @@ struct MulticlassBatchLane {
   /// with, tabulated to the lane's own total population.  The scenario
   /// engine caches these for deepen-reuse, exactly like BatchLane::grid.
   std::shared_ptr<const MulticlassGrid> grid;
+  /// The station rows this lane's result carries; lanes of one block may
+  /// differ.
+  StationRows rows = StationRows::kAll;
 };
 
 /// True when `kind` runs a multiclass series recursion the lockstep kernel

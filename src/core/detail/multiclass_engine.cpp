@@ -86,28 +86,34 @@ void assemble_multiclass_level(MvaResult& result, std::size_t row,
     result.cycle_time[row] = static_cast<double>(pop_total) / x_total;
   }
 
-  double* queue_row = result.queue_row(row);
+  const std::size_t class_base = row * c_count;
+  for (std::size_t c = 0; c < c_count; ++c) {
+    result.class_throughput[class_base + c] = s.x[c];
+    result.class_response_time[class_base + c] = s.r[c];
+  }
   double* util_row = result.utilization_row(row);
+  for (std::size_t k = 0; k < k_count; ++k) {
+    double u = 0.0;
+    for (std::size_t c = 0; c < c_count; ++c) u += s.x[c] * s.demand_rows[c][k];
+    util_row[k] = u;
+  }
+  if (result.station_rows != StationRows::kAll) return;
+
+  double* queue_row = result.queue_row(row);
   double* residence_row = result.residence_row(row);
   for (std::size_t k = 0; k < k_count; ++k) {
     double q = 0.0;
-    double u = 0.0;
     for (std::size_t c = 0; c < c_count; ++c) {
       if (level_pops[c] > 0) q += s.x[c] * s.residence[c * k_count + k];
-      u += s.x[c] * s.demand_rows[c][k];
     }
     queue_row[k] = q;
-    util_row[k] = u;
     residence_row[k] = active == 1
                            ? s.residence[last_active * k_count + k]
                            : queue_row[k] / x_total;
   }
 
-  const std::size_t class_base = row * c_count;
   const std::size_t queue_base = class_base * k_count;
   for (std::size_t c = 0; c < c_count; ++c) {
-    result.class_throughput[class_base + c] = s.x[c];
-    result.class_response_time[class_base + c] = s.r[c];
     if (level_pops[c] > 0) {
       for (std::size_t k = 0; k < k_count; ++k) {
         result.class_station_queue[queue_base + c * k_count + k] =
@@ -204,24 +210,38 @@ bool next_vector(std::vector<unsigned>& n,
   return false;
 }
 
+/// The population-vector lattice of `classes`, refused with the exact
+/// kind's error when it (times k_count queue entries) exceeds the budget.
+PopulationIndex exact_lattice(const std::vector<CustomerClass>& classes,
+                              std::size_t k_count) {
+  PopulationIndex index(classes);
+  MTPERF_REQUIRE(index.total() <= kMaxExactSpace / k_count,
+                 "population-vector space too large for exact multi-class "
+                 "MVA; use mom-multiclass (constant demands) or "
+                 "schweitzer-multiclass");
+  return index;
+}
+
 }  // namespace
+
+void check_exact_multiclass_space(const ClosedNetwork& network,
+                                  const std::vector<CustomerClass>& classes) {
+  exact_lattice(classes, network.size());
+}
 
 MvaResult exact_multiclass_engine(const ClosedNetwork& network,
                                   const std::vector<CustomerClass>& classes,
-                                  const MulticlassGrid& grid) {
+                                  const MulticlassGrid& grid,
+                                  StationRows rows) {
   const std::size_t k_count = network.size();
   const std::size_t c_count = classes.size();
   const std::size_t axis = multiclass_axis_class(classes);
   const unsigned n_axis = classes[axis].population;
 
-  const PopulationIndex index(classes);
-  MTPERF_REQUIRE(index.total() <= kMaxExactSpace / k_count,
-                 "population-vector space too large for exact multi-class "
-                 "MVA; use mom-multiclass (constant demands) or "
-                 "schweitzer-multiclass");
+  const PopulationIndex index = exact_lattice(classes, k_count);
 
   MvaResult result;
-  result.reset(station_names_of(network), n_axis);
+  result.reset(station_names_of(network), n_axis, rows);
   result.reset_classes(class_names_of(classes), class_populations_of(classes));
   result.mc_axis = axis;
 
@@ -295,7 +315,8 @@ MvaResult exact_multiclass_engine(const ClosedNetwork& network,
 
 MvaResult schweitzer_multiclass_engine(
     const ClosedNetwork& network, const std::vector<CustomerClass>& classes,
-    const SchweitzerOptions& options, const MulticlassGrid& grid) {
+    const SchweitzerOptions& options, const MulticlassGrid& grid,
+    StationRows rows) {
   MTPERF_REQUIRE(options.tolerance > 0.0, "tolerance must be positive");
   const std::size_t k_count = network.size();
   const std::size_t c_count = classes.size();
@@ -303,7 +324,7 @@ MvaResult schweitzer_multiclass_engine(
   const unsigned n_axis = classes[axis].population;
 
   MvaResult result;
-  result.reset(station_names_of(network), n_axis);
+  result.reset(station_names_of(network), n_axis, rows);
   result.reset_classes(class_names_of(classes), class_populations_of(classes));
   result.mc_axis = axis;
 
@@ -469,6 +490,21 @@ class MomStep {
     return level_max_;
   }
 
+  /// The first level, read off g_0 = 1 instead of walking it: each moment
+  /// is inv_j (z + sum_m d_m (v_m + 1)).  The walk over g_0 multiplies
+  /// every term by 1.0, which is exact, and adds the terms in ascending m;
+  /// carrying the partial sum down the blocks makes the same additions in
+  /// the same order, so the bits match.  Returns the level max.
+  double first(double* g_cur, std::size_t cap, const double* d, double z,
+               double inv_j) {
+    d_ = d;
+    inv_j_ = inv_j;
+    out_ = g_cur;
+    level_max_ = 0.0;
+    first_block(0, cap, z);
+    return level_max_;
+  }
+
  private:
   /// C(r + k, k): vectors over k coordinates with |v| <= r.
   std::size_t size(std::size_t r, std::size_t k) const noexcept {
@@ -522,6 +558,35 @@ class MomStep {
     for (std::size_t m = 0; m < last; ++m) nbr_[m] += r + 1;
   }
 
+  /// first()'s block over coordinates dim..M-1 with remaining cap r;
+  /// `partial` is z plus the terms of the coordinates before dim.
+  void first_block(std::size_t dim, std::size_t r, double partial) {
+    if (dim == m_dims_ - 1) {
+      const double d_last = d_[dim];
+      double v_last = 1.0;  // v_{M-1} + 1, as in run()
+      for (std::size_t b = 0; b <= r; ++b) {
+        const double val = inv_j_ * (partial + d_last * v_last);
+        *out_++ = val;
+        level_max_ = std::max(level_max_, val);
+        v_last += 1.0;
+      }
+      return;
+    }
+    for (std::size_t a = 0; a <= r; ++a) {
+      const double next = partial + d_[dim] * static_cast<double>(a + 1);
+      if (a < r) {
+        first_block(dim + 1, r - a, next);
+      } else {
+        // Cap 0 left: v_m = 0 past dim, as in single().
+        double acc = next;
+        for (std::size_t m = dim + 1; m < m_dims_; ++m) acc += d_[m];
+        const double val = inv_j_ * acc;
+        *out_++ = val;
+        level_max_ = std::max(level_max_, val);
+      }
+    }
+  }
+
   /// A block with remaining cap 0 is the one moment with v_m = 0 past dim.
   /// Its previous-level block q is the cap-1 lattice over those
   /// coordinates, where e_m sits at offset M - m (and v_m + 1 = 1).
@@ -552,7 +617,8 @@ class MomStep {
 }  // namespace
 
 MvaResult mom_multiclass_engine(const ClosedNetwork& network,
-                                const std::vector<CustomerClass>& classes) {
+                                const std::vector<CustomerClass>& classes,
+                                StationRows rows) {
   const std::size_t k_count = network.size();
   const std::size_t c_count = classes.size();
 
@@ -600,7 +666,7 @@ MvaResult mom_multiclass_engine(const ClosedNetwork& network,
   }
 
   MvaResult result;
-  result.reset(station_names_of(network), 1);
+  result.reset(station_names_of(network), 1, rows);
   result.reset_classes(class_names_of(classes), class_populations_of(classes));
   // A single-level result at the full mix; report the total population
   // (the engine's exact-hit path never trims single-level results).
@@ -632,9 +698,9 @@ MvaResult mom_multiclass_engine(const ClosedNetwork& network,
                    "mom-multiclass; use schweitzer-multiclass");
 
     MomStep step(pop, m_dims);
-    // g_a holds g_0 and the even levels; g_b only the odd ones, whose cap
-    // is at most N - 1.
-    std::vector<double> g_a(level_states);
+    // g_0 = 1 is never stored: level 1 is read off it directly.  g_b holds
+    // the odd levels (cap <= N - 1), g_a the even ones (cap <= N - 2).
+    std::vector<double> g_a(step.states(pop - 2));
     std::vector<double> g_b(step.states(pop - 1));
     std::vector<double> d_run(m_dims);
 
@@ -652,7 +718,6 @@ MvaResult mom_multiclass_engine(const ClosedNetwork& network,
 
       double* g_prev = g_a.data();
       double* g_cur = g_b.data();
-      std::fill(g_a.begin(), g_a.end(), 1.0);  // g_0(v) = 1 for all v
       std::size_t n = 0;
       for (const auto& [c, count] : schedule) {
         for (std::size_t m = 0; m < m_dims; ++m) {
@@ -663,7 +728,8 @@ MvaResult mom_multiclass_engine(const ClosedNetwork& network,
           const std::size_t cap = pop - n;
           const double inv_j = 1.0 / static_cast<double>(j);
           const double level_max =
-              step(g_prev, g_cur, cap, d_run.data(), z[c], inv_j);
+              n == 1 ? step.first(g_cur, cap, d_run.data(), z[c], inv_j)
+                     : step(g_prev, g_cur, cap, d_run.data(), z[c], inv_j);
           // Only same-level ratios are ever read, so levels can be
           // rescaled freely.  g_n is nondecreasing in every v coordinate
           // (all recurrence coefficients are non-negative and g_0 is

@@ -52,27 +52,40 @@ struct MulticlassLevelState {
 /// solvers (their wait/residence/cycle arithmetic is mirrored in the
 /// engines, and a sum with one nonzero term is exact, but a weighted mean
 /// would round x*r/x differently from r).
+///
+/// Under result.station_rows == kUtilization only the system series, the
+/// class X and R and the utilization row are written.
 void assemble_multiclass_level(MvaResult& result, std::size_t row,
                                const std::vector<CustomerClass>& classes,
                                const std::vector<unsigned>& level_pops,
                                const MulticlassLevelState& s);
 
+/// Throws exact_multiclass_engine's "too large" error when the mix's
+/// population-vector lattice exceeds its budget.  Cheap; core::solve runs
+/// it before tabulating any demands for the exact kind.
+void check_exact_multiclass_space(const ClosedNetwork& network,
+                                  const std::vector<CustomerClass>& classes);
+
 /// Exact recursion over the population-vector lattice, capturing one
 /// result level per axis-class population (other classes at full
-/// strength).  `grid` must cover the mix's total population.
+/// strength).  `grid` must cover the mix's total population.  `rows` picks
+/// the stored station rows, as for every engine here.
 MvaResult exact_multiclass_engine(const ClosedNetwork& network,
                                   const std::vector<CustomerClass>& classes,
-                                  const MulticlassGrid& grid);
+                                  const MulticlassGrid& grid,
+                                  StationRows rows = StationRows::kAll);
 
 /// One cold-started Schweitzer fixed point per axis level; throws
 /// mtperf::numeric_error naming the level on exhaustion.
 MvaResult schweitzer_multiclass_engine(
     const ClosedNetwork& network, const std::vector<CustomerClass>& classes,
-    const SchweitzerOptions& options, const MulticlassGrid& grid);
+    const SchweitzerOptions& options, const MulticlassGrid& grid,
+    StationRows rows = StationRows::kAll);
 
 /// RECAL moment recursion (see DESIGN.md §13): exact, single result level
 /// at the full mix.  Requires constant per-class demands.
 MvaResult mom_multiclass_engine(const ClosedNetwork& network,
-                                const std::vector<CustomerClass>& classes);
+                                const std::vector<CustomerClass>& classes,
+                                StationRows rows = StationRows::kAll);
 
 }  // namespace mtperf::core::detail

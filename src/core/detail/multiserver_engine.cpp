@@ -44,7 +44,8 @@ namespace mtperf::core::detail {
 MvaResult run_multiserver_mva(const ClosedNetwork& network,
                               const DemandModel& demands,
                               unsigned max_population, MarginalTrace* trace,
-                              const DemandGrid* prebuilt_grid) {
+                              const DemandGrid* prebuilt_grid,
+                              StationRows rows) {
   const std::size_t k_count = network.size();
   MTPERF_REQUIRE(demands.stations() == k_count,
                  "demand model width must match station count");
@@ -58,7 +59,7 @@ MvaResult run_multiserver_mva(const ClosedNetwork& network,
   names.reserve(k_count);
   for (const auto& st : network.stations()) names.push_back(st.name);
   MvaResult result;
-  result.reset(std::move(names), max_population);
+  result.reset(std::move(names), max_population, rows);
 
   std::optional<DemandGrid> local_grid;
   if (prebuilt_grid != nullptr) {
@@ -185,8 +186,10 @@ MvaResult run_multiserver_mva(const ClosedNetwork& network,
     result.throughput[level] = x;
     result.response_time[level] = total_residence;
     result.cycle_time[level] = cycle;
-    std::copy(queue, queue + k_count, result.queue_row(level));
-    std::copy(residence, residence + k_count, result.residence_row(level));
+    if (rows == StationRows::kAll) {
+      std::copy(queue, queue + k_count, result.queue_row(level));
+      std::copy(residence, residence + k_count, result.residence_row(level));
+    }
     previous_throughput = x;
   }
   return result;

@@ -41,10 +41,14 @@ struct MarginalTrace {
 /// (content-identical, tabulated to at least `max_population`); the solver
 /// then skips its own tabulation.  The scenario engine uses this to re-solve
 /// deepened cache entries without re-tabulating from population 1.
+///
+/// `rows` picks the stored station rows (StationRows::kUtilization skips
+/// the queue and residence rows).
 MvaResult run_multiserver_mva(const ClosedNetwork& network,
                               const DemandModel& demands,
                               unsigned max_population,
                               MarginalTrace* trace = nullptr,
-                              const DemandGrid* grid = nullptr);
+                              const DemandGrid* grid = nullptr,
+                              StationRows rows = StationRows::kAll);
 
 }  // namespace mtperf::core::detail

@@ -42,7 +42,8 @@ double quasi_static_correction(unsigned servers, double rho) {
 
 MvaResult approx_mvasd(const ClosedNetwork& network, const DemandModel& demands,
                        unsigned max_population,
-                       const ApproxMultiserverOptions& options) {
+                       const ApproxMultiserverOptions& options,
+                       StationRows rows) {
   const std::size_t k_count = network.size();
   MTPERF_REQUIRE(demands.stations() == k_count,
                  "demand model width must match station count");
@@ -53,7 +54,7 @@ MvaResult approx_mvasd(const ClosedNetwork& network, const DemandModel& demands,
   names.reserve(k_count);
   for (const auto& st : network.stations()) names.push_back(st.name);
   MvaResult result;
-  result.reset(std::move(names), max_population);
+  result.reset(std::move(names), max_population, rows);
 
   const DemandGrid grid(demands, max_population);
   const bool by_concurrency = grid.tabulated();
@@ -121,8 +122,10 @@ MvaResult approx_mvasd(const ClosedNetwork& network, const DemandModel& demands,
     result.throughput[level] = x;
     result.response_time[level] = total_residence;
     result.cycle_time[level] = total_residence + network.think_time();
-    std::copy(queue, queue + k_count, result.queue_row(level));
-    std::copy(residence, residence + k_count, result.residence_row(level));
+    if (rows == StationRows::kAll) {
+      std::copy(queue, queue + k_count, result.queue_row(level));
+      std::copy(residence, residence + k_count, result.residence_row(level));
+    }
     previous_throughput = x;
   }
   return result;

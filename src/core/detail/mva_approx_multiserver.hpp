@@ -23,8 +23,11 @@ namespace mtperf::core::detail {
 
 /// Solve populations 1..max_population with demands evaluated per
 /// population from the DemandModel (concurrency or throughput axis).
+/// `rows` picks the stored station rows (StationRows::kUtilization skips
+/// the queue and residence rows).
 MvaResult approx_mvasd(const ClosedNetwork& network, const DemandModel& demands,
                        unsigned max_population,
-                       const ApproxMultiserverOptions& options = {});
+                       const ApproxMultiserverOptions& options = {},
+                       StationRows rows = StationRows::kAll);
 
 }  // namespace mtperf::core::detail

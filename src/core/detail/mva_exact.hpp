@@ -20,8 +20,11 @@ namespace mtperf::core::detail {
 /// per-visit service times `service_times` (S_k, one per station).  Station
 /// server counts are ignored — this is the single-server algorithm; use
 /// run_multiserver_mva or normalize demands for multi-core stations.
+/// `rows` picks the stored station rows (StationRows::kUtilization skips
+/// the queue and residence rows).
 MvaResult exact_mva(const ClosedNetwork& network,
                     std::span<const double> service_times,
-                    unsigned max_population);
+                    unsigned max_population,
+                    StationRows rows = StationRows::kAll);
 
 }  // namespace mtperf::core::detail

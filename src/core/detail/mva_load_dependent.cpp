@@ -23,7 +23,7 @@ RateMultiplier single_server_rate() {
 MvaResult load_dependent_mva(const ClosedNetwork& network,
                              std::span<const double> service_times,
                              const std::vector<RateMultiplier>& rates,
-                             unsigned max_population) {
+                             unsigned max_population, StationRows rows) {
   const std::size_t k_count = network.size();
   MTPERF_REQUIRE(service_times.size() == k_count,
                  "one service time per station required");
@@ -34,7 +34,8 @@ MvaResult load_dependent_mva(const ClosedNetwork& network,
   names.reserve(k_count);
   for (const auto& st : network.stations()) names.push_back(st.name);
   MvaResult result;
-  result.reset(std::move(names), max_population);
+  result.reset(std::move(names), max_population, rows);
+  const bool all_rows = rows == StationRows::kAll;
 
   // ws.p holds, per station, the marginal probability of j customers
   // (j = 0..N) conditioned on the *previous* population; updated in place
@@ -69,12 +70,12 @@ MvaResult load_dependent_mva(const ClosedNetwork& network,
     const double x = static_cast<double>(n) / cycle;
 
     const std::size_t level = n - 1;
-    double* const queue_row = result.queue_row(level);
+    double* const queue_row = all_rows ? result.queue_row(level) : nullptr;
     double* const util_row = result.utilization_row(level);
     for (std::size_t k = 0; k < k_count; ++k) {
       const Station& st = network.station(k);
       if (st.kind == StationKind::kDelay) {
-        queue_row[k] = x * residence[k];
+        if (all_rows) queue_row[k] = x * residence[k];
         util_row[k] = x * st.visits * service_times[k];
         continue;
       }
@@ -96,9 +97,11 @@ MvaResult load_dependent_mva(const ClosedNetwork& network,
       } else {
         pk[0] = 1.0 - tail;
       }
-      double q = 0.0;
-      for (unsigned j = 1; j <= n; ++j) q += static_cast<double>(j) * pk[j];
-      queue_row[k] = q;
+      if (all_rows) {
+        double q = 0.0;
+        for (unsigned j = 1; j <= n; ++j) q += static_cast<double>(j) * pk[j];
+        queue_row[k] = q;
+      }
       // Per-server utilization: offered work over full capacity
       // alpha(N) — for alpha(j) = min(j, C) this is the X V S / C the other
       // solvers report.
@@ -107,7 +110,9 @@ MvaResult load_dependent_mva(const ClosedNetwork& network,
     result.throughput[level] = x;
     result.response_time[level] = total_residence;
     result.cycle_time[level] = cycle;
-    std::copy(residence, residence + k_count, result.residence_row(level));
+    if (all_rows) {
+      std::copy(residence, residence + k_count, result.residence_row(level));
+    }
   }
   return result;
 }
@@ -115,7 +120,7 @@ MvaResult load_dependent_mva(const ClosedNetwork& network,
 MvaResult load_dependent_mva(
     const ClosedNetwork& network, std::span<const double> service_times,
     const std::vector<std::vector<double>>& rate_profiles,
-    unsigned max_population) {
+    unsigned max_population, StationRows rows) {
   const std::size_t k_count = network.size();
   MTPERF_REQUIRE(rate_profiles.size() == k_count,
                  "one rate profile per station required");
@@ -151,7 +156,8 @@ MvaResult load_dependent_mva(
       return (*profile)[i];
     });
   }
-  return load_dependent_mva(network, service_times, rates, max_population);
+  return load_dependent_mva(network, service_times, rates, max_population,
+                            rows);
 }
 
 }  // namespace mtperf::core::detail

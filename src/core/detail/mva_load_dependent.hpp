@@ -37,10 +37,13 @@ RateMultiplier single_server_rate();
 
 /// Solve for populations 1..max_population with constant per-visit service
 /// times and per-station rate multipliers (delay stations ignore theirs).
+/// `rows` picks the stored station rows (StationRows::kUtilization skips
+/// the queue and residence rows).
 MvaResult load_dependent_mva(const ClosedNetwork& network,
                              std::span<const double> service_times,
                              const std::vector<RateMultiplier>& rates,
-                             unsigned max_population);
+                             unsigned max_population,
+                             StationRows rows = StationRows::kAll);
 
 /// Tabulated-profile overload: rate_profiles[k][j-1] is alpha_k(j), and a
 /// profile shorter than max_population saturates — populations beyond its
@@ -56,6 +59,6 @@ MvaResult load_dependent_mva(const ClosedNetwork& network,
 MvaResult load_dependent_mva(
     const ClosedNetwork& network, std::span<const double> service_times,
     const std::vector<std::vector<double>>& rate_profiles,
-    unsigned max_population);
+    unsigned max_population, StationRows rows = StationRows::kAll);
 
 }  // namespace mtperf::core::detail

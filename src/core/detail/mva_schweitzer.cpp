@@ -11,7 +11,8 @@ namespace mtperf::core::detail {
 MvaResult schweitzer_mva(const ClosedNetwork& network,
                          std::span<const double> service_times,
                          unsigned max_population,
-                         const SchweitzerOptions& options) {
+                         const SchweitzerOptions& options,
+                         StationRows rows) {
   const std::size_t k_count = network.size();
   MTPERF_REQUIRE(service_times.size() == k_count,
                  "one service time per station required");
@@ -22,7 +23,7 @@ MvaResult schweitzer_mva(const ClosedNetwork& network,
   names.reserve(k_count);
   for (const auto& st : network.stations()) names.push_back(st.name);
   MvaResult result;
-  result.reset(std::move(names), max_population);
+  result.reset(std::move(names), max_population, rows);
 
   SolverWorkspace& ws = tls_solver_workspace();
   ws.prepare_stations(k_count);
@@ -75,8 +76,10 @@ MvaResult schweitzer_mva(const ClosedNetwork& network,
     result.throughput[level] = x;
     result.response_time[level] = total_residence;
     result.cycle_time[level] = total_residence + network.think_time();
-    std::copy(queue, queue + k_count, result.queue_row(level));
-    std::copy(residence, residence + k_count, result.residence_row(level));
+    if (rows == StationRows::kAll) {
+      std::copy(queue, queue + k_count, result.queue_row(level));
+      std::copy(residence, residence + k_count, result.residence_row(level));
+    }
   }
   return result;
 }

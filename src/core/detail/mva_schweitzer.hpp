@@ -20,9 +20,12 @@
 namespace mtperf::core::detail {
 
 /// Approximate single-server MVA at populations 1..max_population.
+/// `rows` picks the stored station rows (StationRows::kUtilization skips
+/// the queue and residence rows).
 MvaResult schweitzer_mva(const ClosedNetwork& network,
                          std::span<const double> service_times,
                          unsigned max_population,
-                         const SchweitzerOptions& options = {});
+                         const SchweitzerOptions& options = {},
+                         StationRows rows = StationRows::kAll);
 
 }  // namespace mtperf::core::detail

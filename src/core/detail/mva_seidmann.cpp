@@ -8,17 +8,19 @@ namespace mtperf::core::detail {
 
 MvaResult seidmann_mva(const ClosedNetwork& network,
                        std::span<const double> service_times,
-                       unsigned max_population) {
+                       unsigned max_population, StationRows rows) {
   const SeidmannTransform t = seidmann_transform(network, service_times);
-  return exact_mva(t.network, t.service_times, max_population);
+  return exact_mva(t.network, t.service_times, max_population, rows);
 }
 
 MvaResult seidmann_schweitzer_mva(const ClosedNetwork& network,
                                   std::span<const double> service_times,
                                   unsigned max_population,
-                                  const SchweitzerOptions& options) {
+                                  const SchweitzerOptions& options,
+                                  StationRows rows) {
   const SeidmannTransform t = seidmann_transform(network, service_times);
-  return schweitzer_mva(t.network, t.service_times, max_population, options);
+  return schweitzer_mva(t.network, t.service_times, max_population, options,
+                        rows);
 }
 
 }  // namespace mtperf::core::detail

@@ -15,15 +15,19 @@ namespace mtperf::core::detail {
 
 /// Approximate multi-server MVA: Seidmann transform + exact single-server
 /// recursion (so the only approximation is the transform itself).
+/// `rows` picks the stored station rows (StationRows::kUtilization skips
+/// the queue and residence rows).
 MvaResult seidmann_mva(const ClosedNetwork& network,
                        std::span<const double> service_times,
-                       unsigned max_population);
+                       unsigned max_population,
+                       StationRows rows = StationRows::kAll);
 
 /// The [19]-style combination: Seidmann transform + Schweitzer approximate
 /// MVA — the baseline whose compounding error MVASD avoids.
 MvaResult seidmann_schweitzer_mva(const ClosedNetwork& network,
                                   std::span<const double> service_times,
                                   unsigned max_population,
-                                  const SchweitzerOptions& options = {});
+                                  const SchweitzerOptions& options = {},
+                                  StationRows rows = StationRows::kAll);
 
 }  // namespace mtperf::core::detail

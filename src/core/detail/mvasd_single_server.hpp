@@ -17,9 +17,12 @@ namespace mtperf::core::detail {
 /// optionally supplies an already-tabulated DemandGrid for `demands` (same
 /// content, tabulated to >= max_population) — the scenario engine's
 /// deepen-reuse hook.
+/// `rows` picks the stored station rows (StationRows::kUtilization skips
+/// the queue and residence rows).
 MvaResult mvasd_single_server(const ClosedNetwork& network,
                               const DemandModel& demands,
                               unsigned max_population,
-                              const DemandGrid* grid = nullptr);
+                              const DemandGrid* grid = nullptr,
+                              StationRows rows = StationRows::kAll);
 
 }  // namespace mtperf::core::detail

@@ -1,6 +1,9 @@
 #include "core/mva_multiclass.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -49,9 +52,16 @@ std::size_t multiclass_axis_class(const std::vector<CustomerClass>& classes) {
 
 unsigned multiclass_total_population(
     const std::vector<CustomerClass>& classes) {
-  unsigned total = 0;
+  // Summed in 64 bits: a sum that wrapped in 32 would size demand grids and
+  // lattices for fewer customers than the recursions then add.
+  std::uint64_t total = 0;
   for (const auto& c : classes) total += c.population;
-  return total;
+  MTPERF_REQUIRE(total <= std::numeric_limits<unsigned>::max(),
+                 "total class population " + std::to_string(total) +
+                     " is too large (at most " +
+                     std::to_string(std::numeric_limits<unsigned>::max()) +
+                     " customers)");
+  return static_cast<unsigned>(total);
 }
 
 }  // namespace mtperf::core

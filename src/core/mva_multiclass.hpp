@@ -84,6 +84,13 @@ class MulticlassGrid {
   /// True when any class's demands actually vary with concurrency.
   bool varying() const noexcept { return varying_; }
 
+  /// Bytes of the tabulated rows of every class.
+  std::size_t bytes() const noexcept {
+    std::size_t total = 0;
+    for (const DemandGrid& g : grids_) total += g.bytes();
+    return total;
+  }
+
  private:
   std::size_t stations_;
   unsigned max_population_;
@@ -100,7 +107,8 @@ class MulticlassGrid {
 /// mtperf::invalid_argument_error when every class has zero population.
 std::size_t multiclass_axis_class(const std::vector<CustomerClass>& classes);
 
-/// Total population of the mix (sum over classes).
+/// Total population of the mix (sum over classes).  Throws
+/// mtperf::invalid_argument_error when the sum does not fit in an unsigned.
 unsigned multiclass_total_population(const std::vector<CustomerClass>& classes);
 
 }  // namespace mtperf::core

@@ -1,13 +1,16 @@
 #include "core/result.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/error.hpp"
 
 namespace mtperf::core {
 
-void MvaResult::reset(std::vector<std::string> names, std::size_t n_levels) {
+void MvaResult::reset(std::vector<std::string> names, std::size_t n_levels,
+                      StationRows rows) {
   station_names = std::move(names);
+  station_rows = rows;
   const std::size_t k_count = station_names.size();
   population.resize(n_levels);
   for (std::size_t i = 0; i < n_levels; ++i) {
@@ -16,9 +19,14 @@ void MvaResult::reset(std::vector<std::string> names, std::size_t n_levels) {
   throughput.assign(n_levels, 0.0);
   response_time.assign(n_levels, 0.0);
   cycle_time.assign(n_levels, 0.0);
-  station_queue.assign(n_levels * k_count, 0.0);
   station_utilization.assign(n_levels * k_count, 0.0);
-  station_residence.assign(n_levels * k_count, 0.0);
+  if (rows == StationRows::kAll) {
+    station_queue.assign(n_levels * k_count, 0.0);
+    station_residence.assign(n_levels * k_count, 0.0);
+  } else {
+    station_queue.clear();
+    station_residence.clear();
+  }
   class_names.clear();
   class_population.clear();
   class_throughput.clear();
@@ -38,7 +46,21 @@ void MvaResult::reset_classes(std::vector<std::string> names,
   const std::size_t n_levels = levels();
   class_throughput.assign(n_levels * c_count, 0.0);
   class_response_time.assign(n_levels * c_count, 0.0);
-  class_station_queue.assign(n_levels * c_count * station_names.size(), 0.0);
+  if (station_rows == StationRows::kAll) {
+    class_station_queue.assign(n_levels * c_count * station_names.size(), 0.0);
+  } else {
+    class_station_queue.clear();
+  }
+}
+
+std::size_t MvaResult::bytes() const noexcept {
+  const auto of = [](const auto& v) {
+    return v.size() * sizeof(typename std::decay_t<decltype(v)>::value_type);
+  };
+  return of(population) + of(throughput) + of(response_time) +
+         of(cycle_time) + of(station_queue) + of(station_utilization) +
+         of(station_residence) + of(class_population) + of(class_throughput) +
+         of(class_response_time) + of(class_station_queue);
 }
 
 std::size_t MvaResult::row_for(unsigned n) const {
@@ -58,20 +80,24 @@ MvaResult MvaResult::prefix(unsigned max_population) const {
                  "prefix requires the canonical 1..N population numbering");
   const std::size_t n_levels = max_population;
   const std::size_t k_count = station_names.size();
+  const bool all_rows = station_rows == StationRows::kAll;
   MvaResult out;
   out.station_names = station_names;
+  out.station_rows = station_rows;
   out.population.assign(population.begin(), population.begin() + n_levels);
   out.throughput.assign(throughput.begin(), throughput.begin() + n_levels);
   out.response_time.assign(response_time.begin(),
                            response_time.begin() + n_levels);
   out.cycle_time.assign(cycle_time.begin(), cycle_time.begin() + n_levels);
   const std::size_t cells = n_levels * k_count;
-  out.station_queue.assign(station_queue.begin(),
-                           station_queue.begin() + cells);
   out.station_utilization.assign(station_utilization.begin(),
                                  station_utilization.begin() + cells);
-  out.station_residence.assign(station_residence.begin(),
-                               station_residence.begin() + cells);
+  if (all_rows) {
+    out.station_queue.assign(station_queue.begin(),
+                             station_queue.begin() + cells);
+    out.station_residence.assign(station_residence.begin(),
+                                 station_residence.begin() + cells);
+  }
   if (!class_names.empty()) {
     const std::size_t c_count = class_names.size();
     out.class_names = class_names;
@@ -88,9 +114,12 @@ MvaResult MvaResult::prefix(unsigned max_population) const {
                                 class_throughput.begin() + class_cells);
     out.class_response_time.assign(class_response_time.begin(),
                                    class_response_time.begin() + class_cells);
-    const std::size_t queue_cells = class_cells * k_count;
-    out.class_station_queue.assign(class_station_queue.begin(),
-                                   class_station_queue.begin() + queue_cells);
+    if (all_rows) {
+      const std::size_t queue_cells = class_cells * k_count;
+      out.class_station_queue.assign(
+          class_station_queue.begin(),
+          class_station_queue.begin() + queue_cells);
+    }
   }
   return out;
 }
@@ -105,6 +134,9 @@ std::vector<double> MvaResult::utilization_series(std::size_t station) const {
 
 std::vector<double> MvaResult::queue_series(std::size_t station) const {
   MTPERF_REQUIRE(station < station_names.size(), "station index out of range");
+  MTPERF_REQUIRE(station_rows == StationRows::kAll,
+                 "queue_series needs a result solved with all station rows; "
+                 "this one holds utilization rows only");
   std::vector<double> out;
   out.reserve(levels());
   for (std::size_t i = 0; i < levels(); ++i) out.push_back(queue(i, station));

@@ -103,11 +103,17 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
         "(use finalize_multiclass_options)");
     const std::vector<CustomerClass>& classes = options.classes;
     detail::validate_multiclass(network, classes);
+    const StationRows rows = options.station_rows;
     if (options.solver == SolverKind::kMomMulticlass) {
-      return detail::mom_multiclass_engine(network, classes);
+      return detail::mom_multiclass_engine(network, classes, rows);
     }
     // The series kinds read per-class demand rows up to the mix's total
-    // population: borrow the caller's grid or tabulate one here.
+    // population: borrow the caller's grid or tabulate one here.  The exact
+    // kind's lattice guard runs first; it refuses every mix whose total
+    // would not fit.
+    if (options.solver == SolverKind::kExactMulticlass) {
+      detail::check_exact_multiclass_space(network, classes);
+    }
     const unsigned total = multiclass_total_population(classes);
     std::optional<MulticlassGrid> local_grid;
     if (class_grid != nullptr) {
@@ -118,10 +124,11 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
       class_grid = &local_grid.emplace(network, classes, total);
     }
     if (options.solver == SolverKind::kExactMulticlass) {
-      return detail::exact_multiclass_engine(network, classes, *class_grid);
+      return detail::exact_multiclass_engine(network, classes, *class_grid,
+                                             rows);
     }
-    return detail::schweitzer_multiclass_engine(network, classes,
-                                                options.schweitzer, *class_grid);
+    return detail::schweitzer_multiclass_engine(
+        network, classes, options.schweitzer, *class_grid, rows);
   }
   MTPERF_REQUIRE(options.classes.empty(),
                  std::string("options.classes requires a multiclass solver "
@@ -133,16 +140,17 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
   MTPERF_REQUIRE(options.max_population >= 1, "population must be at least 1");
 
   const unsigned n = options.max_population;
+  const StationRows rows = options.station_rows;
   switch (options.solver) {
     case SolverKind::kExactSingleServer:
-      return detail::exact_mva(network,
-                               constant_demands(*demands, options.solver), n);
+      return detail::exact_mva(
+          network, constant_demands(*demands, options.solver), n, rows);
     case SolverKind::kSchweitzer:
       return detail::schweitzer_mva(
           network, constant_demands(*demands, options.solver), n,
-          options.schweitzer);
+          options.schweitzer, rows);
     case SolverKind::kApproxMultiserver:
-      return detail::approx_mvasd(network, *demands, n, options.approx);
+      return detail::approx_mvasd(network, *demands, n, options.approx, rows);
     case SolverKind::kLoadDependent: {
       std::vector<detail::RateMultiplier> rates;
       rates.reserve(network.size());
@@ -150,22 +158,22 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
         rates.push_back(detail::multiserver_rate(st.servers));
       }
       return detail::load_dependent_mva(
-          network, constant_demands(*demands, options.solver), rates, n);
+          network, constant_demands(*demands, options.solver), rates, n, rows);
     }
     case SolverKind::kMvasd:
       // Algorithm 3; with a constant model this is exactly Algorithm 2
       // (the same recursion over one demand row).
       return detail::run_multiserver_mva(network, *demands, n,
-                                         /*trace=*/nullptr, grid);
+                                         /*trace=*/nullptr, grid, rows);
     case SolverKind::kMvasdSingleServer:
-      return detail::mvasd_single_server(network, *demands, n, grid);
+      return detail::mvasd_single_server(network, *demands, n, grid, rows);
     case SolverKind::kSeidmann:
       return detail::seidmann_mva(
-          network, constant_demands(*demands, options.solver), n);
+          network, constant_demands(*demands, options.solver), n, rows);
     case SolverKind::kSeidmannSchweitzer:
       return detail::seidmann_schweitzer_mva(
           network, constant_demands(*demands, options.solver), n,
-          options.schweitzer);
+          options.schweitzer, rows);
     case SolverKind::kHierarchical:
       // Direct profile extraction; the scenario engine passes its own
       // evaluator so subnetwork profiles go through the fingerprint cache.
@@ -198,6 +206,7 @@ std::vector<MvaResult> solve_batch(const std::vector<ScenarioSpec>& specs,
       lanes[l].network = &spec.network;
       lanes[l].demands = &spec.demands;
       lanes[l].max_population = spec.options.max_population;
+      lanes[l].rows = spec.options.station_rows;
     }
     std::vector<MvaResult> results = detail::solve_lane_block(lanes);
     for (std::size_t l = 0; l < block.size(); ++l) {
@@ -211,6 +220,7 @@ std::vector<MvaResult> solve_batch(const std::vector<ScenarioSpec>& specs,
       lanes[l].network = &spec.network;
       lanes[l].classes = &spec.options.classes;
       lanes[l].schweitzer = spec.options.schweitzer;
+      lanes[l].rows = spec.options.station_rows;
     }
     std::vector<MvaResult> results = detail::solve_multiclass_lane_block(
         specs[block[0]].options.solver, lanes);

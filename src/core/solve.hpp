@@ -133,6 +133,10 @@ struct SolveOptions {
   /// kHierarchical only: partition and truncation controls.  Ignored by
   /// every other kind.
   HierarchyOptions hierarchy{};
+  /// Which per-station rows the result carries.  Every kind honors it, and
+  /// the values it keeps are bit-identical to a kAll solve's.  The scenario
+  /// server's request parser sets kUtilization; the fingerprint keys on it.
+  StationRows station_rows = StationRows::kAll;
 };
 
 /// Result depth of a multiclass solve: the axis class's population for the

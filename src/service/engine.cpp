@@ -34,7 +34,14 @@ struct CacheEntry {
   /// Multiclass analogue: per-class tabulated rows of the deepest mix.
   /// Null unless the structure is class_grid_cacheable.
   std::shared_ptr<const core::MulticlassGrid> class_grid;
+  /// Buffer bytes this entry pins (entry_bytes), counted in cache_bytes_.
+  std::size_t bytes = 0;
 };
+
+std::size_t entry_bytes(const CacheEntry& e) {
+  return e.result->bytes() + (e.grid ? e.grid->bytes() : 0) +
+         (e.class_grid ? e.class_grid->bytes() : 0);
+}
 
 /// True when caching a tabulated DemandGrid alongside the result pays off:
 /// the solver actually reads grids, the demands vary (a constant model's
@@ -250,11 +257,15 @@ void Engine::store(const Fingerprint& fp,
   if (it != shard.index.end()) {
     // Deepen (or refresh) the existing entry; never shrink it — a
     // concurrent deeper solve may have landed first.
-    if (it->second->result->levels() < result->levels()) {
-      it->second->result = std::move(result);
-      it->second->demands = std::move(lease.demands);
-      it->second->grid = std::move(lease.grid);
-      it->second->class_grid = std::move(lease.class_grid);
+    CacheEntry& entry = *it->second;
+    if (entry.result->levels() < result->levels()) {
+      entry.result = std::move(result);
+      entry.demands = std::move(lease.demands);
+      entry.grid = std::move(lease.grid);
+      entry.class_grid = std::move(lease.class_grid);
+      cache_bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
+      entry.bytes = entry_bytes(entry);
+      cache_bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   } else {
@@ -262,8 +273,12 @@ void Engine::store(const Fingerprint& fp,
                                     std::move(lease.demands),
                                     std::move(lease.grid),
                                     std::move(lease.class_grid)});
+    shard.lru.front().bytes = entry_bytes(shard.lru.front());
+    cache_bytes_.fetch_add(shard.lru.front().bytes, std::memory_order_relaxed);
     shard.index.emplace(fp, shard.lru.begin());
     if (shard.lru.size() > per_shard_capacity_) {
+      cache_bytes_.fetch_sub(shard.lru.back().bytes,
+                             std::memory_order_relaxed);
       shard.index.erase(shard.lru.back().key);
       shard.lru.pop_back();
       evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -485,6 +500,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
       const core::ScenarioSpec& spec = specs[rep.spec_index];
       lanes[l].network = &spec.network;
       lanes[l].max_population = spec.options.max_population;
+      lanes[l].rows = spec.options.station_rows;
       if (grid_cacheable(spec)) {
         // The kernel's out-grid is cached, so it must borrow a model the
         // cache entry owns — never the caller's spec.
@@ -530,6 +546,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
       lanes[l].network = &spec.network;
       lanes[l].classes = &spec.options.classes;
       lanes[l].schweitzer = spec.options.schweitzer;
+      lanes[l].rows = spec.options.station_rows;
       if (class_grid_cacheable(spec)) {
         // Seed the kernel with the leased grid (a shallower-mix entry's
         // rows deepen in place); MulticlassGrid owns its model copies, so
@@ -667,6 +684,7 @@ EngineMetrics Engine::metrics() const {
   m.misses = misses_.load(std::memory_order_relaxed);
   m.evictions = evictions_.load(std::memory_order_relaxed);
   m.entries = entries_.load(std::memory_order_relaxed);
+  m.cache_bytes = cache_bytes_.load(std::memory_order_relaxed);
   m.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   m.batch_blocks = batch_blocks_.load(std::memory_order_relaxed);
   m.batch_lanes = batch_lanes_.load(std::memory_order_relaxed);
@@ -707,6 +725,9 @@ void Engine::clear() {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     entries_.fetch_sub(shard->lru.size(), std::memory_order_relaxed);
+    for (const CacheEntry& entry : shard->lru) {
+      cache_bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
+    }
     shard->lru.clear();
     shard->index.clear();
   }

@@ -102,6 +102,9 @@ struct EngineMetrics {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::size_t entries = 0;      ///< currently cached results
+  /// Buffer bytes the cached entries pin: their results (MvaResult::bytes)
+  /// plus their cached demand-grid rows.
+  std::size_t cache_bytes = 0;
   std::size_t queue_depth = 0;  ///< scenarios submitted but not finished
   double hit_rate = 0.0;        ///< hits / requests (0 when idle)
   /// Percentiles of per-solve latency (misses only), in milliseconds;
@@ -261,8 +264,9 @@ class Engine final : public core::ScenarioEvaluator {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // Hot counters: relaxed atomics written on the request path and read by
-  // metrics() without any lock.  entries_ mirrors the shard LRU sizes so
-  // the metrics snapshot does not have to walk (and lock) the shards.
+  // metrics() without any lock.  entries_ and cache_bytes_ mirror the shard
+  // LRUs so the metrics snapshot does not have to walk (and lock) the
+  // shards.
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> prefix_hits_{0};
@@ -270,6 +274,7 @@ class Engine final : public core::ScenarioEvaluator {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::size_t> entries_{0};
+  std::atomic<std::size_t> cache_bytes_{0};
   std::atomic<std::size_t> queue_depth_{0};
   std::atomic<std::uint64_t> batch_blocks_{0};
   std::atomic<std::uint64_t> batch_lanes_{0};

@@ -132,6 +132,9 @@ void mix_demands(Hasher& h, const core::DemandModel& demands) {
 
 void mix_options(Hasher& h, const core::SolveOptions& options) {
   h.mix(static_cast<std::uint64_t>(options.solver));
+  // The result's shape: a utilization-only entry must never answer a
+  // request for every row.
+  h.mix(static_cast<std::uint64_t>(options.station_rows));
   // Only the controls the selected solver actually reads: unrelated
   // option noise must not split otherwise-identical cache keys.
   switch (options.solver) {

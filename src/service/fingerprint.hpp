@@ -11,8 +11,9 @@
 //
 // What goes in: station structure (names, visits, multiplicities, kinds),
 // think time, the demand model's content (exact coefficients for the
-// piecewise-cubic family, dense probes otherwise), the solver kind, and
-// the solver options that kind actually consumes.
+// piecewise-cubic family, dense probes otherwise), the solver kind, the
+// solver options that kind actually consumes, and the station rows the
+// result carries.
 //
 // Multiclass specs swap the single-class demand model (which their solvers
 // ignore) for the class mix: class count, per-class name / think time /

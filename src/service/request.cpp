@@ -201,18 +201,15 @@ ParsedRequest parse_request(std::string_view line) {
     out.kind = RequestKind::kShutdown;
     return out;
   }
-  if (cmd == "workmodel") {
-    out.kind = RequestKind::kScenario;
-    out.series = request.contains("series") && request.at("series").as_bool();
-    out.spec = workmodel_scenario(request);
-    return out;
-  }
   MTPERF_REQUIRE(
-      cmd.empty(),
+      cmd.empty() || cmd == "workmodel",
       "unknown cmd (expected 'workmodel', 'metrics', or 'shutdown')");
   out.kind = RequestKind::kScenario;
   out.series = request.contains("series") && request.at("series").as_bool();
-  out.spec = parse_scenario(request);
+  out.spec = cmd.empty() ? parse_scenario(request) : workmodel_scenario(request);
+  // A response carries X, R, Z and station utilizations, never queues or
+  // residences, so served solves skip those rows (append_evaluation).
+  out.spec.options.station_rows = core::StationRows::kUtilization;
   return out;
 }
 
@@ -304,6 +301,7 @@ void append_metrics(std::string& out, const EngineMetrics& m,
   inner["misses"] = static_cast<unsigned long long>(m.misses);
   inner["evictions"] = static_cast<unsigned long long>(m.evictions);
   inner["entries"] = static_cast<unsigned long long>(m.entries);
+  inner["cache_bytes"] = static_cast<unsigned long long>(m.cache_bytes);
   inner["queue_depth"] = static_cast<unsigned long long>(m.queue_depth);
   inner["hit_rate"] = m.hit_rate;
   inner["fes_profile_hits"] =

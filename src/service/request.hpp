@@ -69,7 +69,8 @@ inline constexpr unsigned kMaxRequestPopulation = 1'000'000;
 /// Parse one request line.  Throws mtperf::Error (with a stable "mtperf: "
 /// prefix) on malformed JSON, schema violations, unknown solvers, or
 /// out-of-range populations; the caller answers with append_error and
-/// keeps serving.
+/// keeps serving.  A scenario's spec asks for utilization rows only
+/// (core::StationRows::kUtilization): that is all a response carries.
 ParsedRequest parse_request(std::string_view line);
 
 /// Best-effort id recovery for error responses: when parse_request threw

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -20,6 +22,7 @@
 #include "apps/vins.hpp"
 #include "common/error.hpp"
 #include "core/demand_model.hpp"
+#include "core/detail/batch_engine.hpp"
 #include "core/detail/hierarchy_engine.hpp"
 #include "core/detail/multiclass_engine.hpp"
 #include "core/detail/multiserver_engine.hpp"
@@ -896,6 +899,231 @@ TEST(SolveDispatch, EveryKindReachesItsKernel) {
           << solver_kind_name(rows[j].kind);
     }
   }
+}
+
+// ----------------------------------------------------------- station rows
+
+/// Every value a utilization-only result keeps equals the all-rows
+/// result's, bit for bit, and the rows it drops are empty.
+void expect_lean_matches(const MvaResult& lean, const MvaResult& full) {
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b, const char* what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+                std::bit_cast<std::uint64_t>(b[i]))
+          << what << "[" << i << "]: " << a[i] << " vs " << b[i];
+    }
+  };
+  EXPECT_EQ(lean.station_rows, StationRows::kUtilization);
+  EXPECT_EQ(full.station_rows, StationRows::kAll);
+  EXPECT_EQ(lean.population, full.population);
+  same_bits(lean.throughput, full.throughput, "throughput");
+  same_bits(lean.response_time, full.response_time, "response_time");
+  same_bits(lean.cycle_time, full.cycle_time, "cycle_time");
+  same_bits(lean.station_utilization, full.station_utilization,
+            "station_utilization");
+  same_bits(lean.class_throughput, full.class_throughput, "class_throughput");
+  same_bits(lean.class_response_time, full.class_response_time,
+            "class_response_time");
+  EXPECT_EQ(lean.station_names, full.station_names);
+  EXPECT_EQ(lean.class_names, full.class_names);
+  EXPECT_EQ(lean.class_population, full.class_population);
+  EXPECT_EQ(lean.mc_axis, full.mc_axis);
+  EXPECT_EQ(lean.mc_iterations, full.mc_iterations);
+  EXPECT_TRUE(lean.station_queue.empty());
+  EXPECT_TRUE(lean.station_residence.empty());
+  EXPECT_TRUE(lean.class_station_queue.empty());
+  EXPECT_EQ(full.station_queue.size(), full.station_utilization.size());
+  EXPECT_EQ(full.station_residence.size(), full.station_utilization.size());
+}
+
+/// Specs covering all 12 kinds on the dispatch test's networks, plus
+/// spline demands on both axes and hierarchical solves with truncated
+/// profiles and at tier detail.
+std::vector<ScenarioSpec> every_kind_specs() {
+  const ClosedNetwork net({Station{"cpu", 1.0, 4, StationKind::kQueueing},
+                           Station{"disk", 1.0, 1, StationKind::kQueueing},
+                           Station{"lan", 1.0, 1, StationKind::kDelay}},
+                          1.0);
+  const auto constant = DemandModel::constant({0.2, 0.03, 0.05});
+  const auto splines = [](DemandModel::Axis axis) {
+    std::vector<std::shared_ptr<const interp::Interpolator1D>> fns;
+    for (const double b : {0.2, 0.03, 0.05}) {
+      fns.push_back(std::make_shared<interp::PiecewiseCubic>(
+          interp::build_cubic_spline(interp::SampleSet(
+              {1.0, 10.0, 25.0, 60.0}, {b, 0.9 * b, 1.1 * b, 1.3 * b}))));
+    }
+    return DemandModel::interpolated(std::move(fns), axis);
+  };
+  const auto by_n = splines(DemandModel::Axis::kConcurrency);
+  const auto by_x = splines(DemandModel::Axis::kThroughput);
+
+  std::vector<ScenarioSpec> specs;
+  const auto add = [&](SolverKind kind, const DemandModel& demands,
+                       unsigned n) -> SolveOptions& {
+    SolveOptions options{kind, n};
+    options.schweitzer = {1e-4, 500};
+    options.approx = {1e-4, 800};
+    options.hierarchy.tiers = {{"front", {0, 1}}};
+    specs.push_back({solver_kind_name(kind), net, demands, options});
+    return specs.back().options;
+  };
+  for (const SolverKind kind :
+       {SolverKind::kExactSingleServer, SolverKind::kSchweitzer,
+        SolverKind::kLoadDependent, SolverKind::kSeidmann,
+        SolverKind::kSeidmannSchweitzer}) {
+    add(kind, constant, 30);
+  }
+  for (const SolverKind kind :
+       {SolverKind::kApproxMultiserver, SolverKind::kMvasd,
+        SolverKind::kMvasdSingleServer}) {
+    add(kind, constant, 30);
+    add(kind, by_n, 45);
+    add(kind, by_x, 40);
+  }
+  add(SolverKind::kHierarchical, constant, 30);
+  add(SolverKind::kHierarchical, by_n, 60).hierarchy.saturation_tolerance =
+      1e-3;
+  SolveOptions& tiers = add(SolverKind::kHierarchical, constant, 60);
+  tiers.hierarchy.saturation_tolerance = 1e-3;
+  tiers.hierarchy.initial_depth = 4;
+  tiers.hierarchy.detail = HierarchyDetail::kTiers;
+
+  const ClosedNetwork mc_net = make_network({"cpu", "disk"}, {1, 1}, 1.0);
+  auto varying = std::make_shared<const DemandModel>(DemandModel::interpolated(
+      {std::make_shared<interp::PiecewiseCubic>(interp::build_cubic_spline(
+           interp::SampleSet({1.0, 8.0, 16.0}, {0.05, 0.06, 0.08}))),
+       std::make_shared<interp::PiecewiseCubic>(interp::build_cubic_spline(
+           interp::SampleSet({1.0, 8.0, 16.0}, {0.15, 0.12, 0.1})))}));
+  for (const SolverKind kind :
+       {SolverKind::kExactMulticlass, SolverKind::kMomMulticlass,
+        SolverKind::kSchweitzerMulticlass}) {
+    for (const unsigned axis_pop : {6u, 3u}) {
+      ScenarioSpec spec;
+      spec.label = std::string(solver_kind_name(kind)) + "-mix";
+      spec.network = mc_net;
+      spec.options.solver = kind;
+      spec.options.schweitzer = {1e-4, 500};
+      spec.options.classes = {{"a", 4, 1.0, {0.05, 0.15}},
+                              {"b", axis_pop, 0.5, {0.02, 0.01}}};
+      if (kind != SolverKind::kMomMulticlass && axis_pop == 3) {
+        spec.options.classes[0].demand_model = varying;
+      }
+      finalize_multiclass_options(spec.options);
+      specs.push_back(std::move(spec));
+    }
+  }
+  return specs;
+}
+
+/// The first spec of `kind` from every_kind_specs() (constant demands).
+ScenarioSpec first_spec_of(SolverKind kind) {
+  for (ScenarioSpec& spec : every_kind_specs()) {
+    if (spec.options.solver == kind) return std::move(spec);
+  }
+  return {};
+}
+
+ScenarioSpec with_rows(ScenarioSpec spec, StationRows rows) {
+  spec.options.station_rows = rows;
+  return spec;
+}
+
+MvaResult solve_spec(const ScenarioSpec& spec) {
+  return solve(spec.network, &spec.demands, spec.options);
+}
+
+TEST(StationRows, EveryKindKeepsItsValuesThroughSolve) {
+  std::vector<SolverKind> seen;
+  for (const ScenarioSpec& spec : every_kind_specs()) {
+    SCOPED_TRACE(spec.label);
+    seen.push_back(spec.options.solver);
+    const MvaResult full = solve_spec(spec);
+    const MvaResult lean =
+        solve_spec(with_rows(spec, StationRows::kUtilization));
+    expect_lean_matches(lean, full);
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::unique(seen.begin(), seen.end()) - seen.begin(), 12);
+}
+
+TEST(StationRows, SolveBatchMixesRowKindsInRaggedBlocks) {
+  // Every spec twice, once per row kind, plus extra mvasd and multiclass
+  // lanes of other depths: the lockstep blocks come out ragged, with lean
+  // and full lanes side by side.
+  std::vector<ScenarioSpec> specs;
+  for (const ScenarioSpec& spec : every_kind_specs()) {
+    specs.push_back(with_rows(spec, StationRows::kUtilization));
+    specs.push_back(spec);
+  }
+  const ScenarioSpec mvasd = first_spec_of(SolverKind::kMvasd);
+  ASSERT_EQ(mvasd.options.solver, SolverKind::kMvasd);
+  for (const unsigned n : {1u, 7u, 55u, 19u}) {
+    ScenarioSpec lane = with_rows(
+        mvasd, n % 2 == 0 ? StationRows::kAll : StationRows::kUtilization);
+    lane.options.max_population = n;
+    specs.push_back(std::move(lane));
+  }
+  for (const SolverKind kind :
+       {SolverKind::kExactMulticlass, SolverKind::kSchweitzerMulticlass}) {
+    const ScenarioSpec mix = first_spec_of(kind);
+    for (const unsigned axis_pop : {2u, 9u, 1u}) {
+      ScenarioSpec lane = with_rows(mix, axis_pop % 2 == 0
+                                             ? StationRows::kAll
+                                             : StationRows::kUtilization);
+      lane.options.classes.back().population = axis_pop;
+      finalize_multiclass_options(lane.options);
+      specs.push_back(std::move(lane));
+    }
+  }
+  std::vector<const ScenarioSpec*> ptrs;
+  for (const auto& s : specs) ptrs.push_back(&s);
+  const auto plan = detail::plan_batch(ptrs);
+  ASSERT_FALSE(plan.blocks.empty());
+  ASSERT_FALSE(plan.mc_blocks.empty());
+  for (const auto* blocks : {&plan.blocks, &plan.mc_blocks}) {
+    bool mixed = false;
+    for (const auto& block : *blocks) {
+      bool lean = false, full = false;
+      for (const std::size_t i : block) {
+        (specs[i].options.station_rows == StationRows::kAll ? full : lean) =
+            true;
+      }
+      mixed = mixed || (lean && full);
+    }
+    EXPECT_TRUE(mixed);
+  }
+
+  const std::vector<MvaResult> batched = solve_batch(specs);
+  ASSERT_EQ(batched.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(specs[i].label + " #" + std::to_string(i));
+    const MvaResult full = solve_spec(with_rows(specs[i], StationRows::kAll));
+    if (specs[i].options.station_rows == StationRows::kAll) {
+      expect_same_result(batched[i], full);
+    } else {
+      expect_lean_matches(batched[i], full);
+    }
+  }
+}
+
+TEST(StationRows, LeanResultsTrimLeanAndHaveNoQueueSeries) {
+  const ScenarioSpec spec = first_spec_of(SolverKind::kMvasd);
+  ASSERT_EQ(spec.options.solver, SolverKind::kMvasd);
+  const MvaResult full = solve_spec(spec);
+  const MvaResult lean = solve_spec(with_rows(spec, StationRows::kUtilization));
+  expect_lean_matches(lean.prefix(12), full.prefix(12));
+  EXPECT_EQ(lean.utilization_series(0), full.utilization_series(0));
+  try {
+    (void)lean.queue_series(0);
+    FAIL() << "queue_series read a utilization-only result";
+  } catch (const invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find("utilization rows only"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(lean.bytes(), full.bytes());
 }
 
 // ----------------------------------------------------------------- result

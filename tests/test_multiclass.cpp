@@ -607,6 +607,39 @@ TEST(MulticlassMom, WrappedTotalPopulationIsRejected) {
   }
 }
 
+/// Populations 4294967295 and 6 (the small class with a cubic-spline
+/// demand model), whose 32-bit total wraps to 5.
+std::vector<CustomerClass> wrapping_mix() {
+  auto spline = std::make_shared<interp::PiecewiseCubic>(
+      interp::build_cubic_spline(
+          interp::SampleSet({1, 10, 20}, {0.02, 0.015, 0.01})));
+  CustomerClass small{"small", 6, 1.0, {}};
+  small.demand_model = std::make_shared<DemandModel>(
+      DemandModel::interpolated({spline, spline}));
+  return {{"big", 4'294'967'295u, 1.0, {0.01, 0.02}}, small};
+}
+
+void expect_wrapped_total_rejected(SolverKind kind) {
+  try {
+    solve_mix(kind, two_station_net(1.0), wrapping_mix());
+    FAIL() << "wrapped total population accepted";
+  } catch (const invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MulticlassSchweitzer, WrappedTotalPopulationIsRejected) {
+  // Regression: the series kinds summed class populations in 32 bits, so
+  // this mix's total wrapped to 5 and Schweitzer read the spline class's
+  // demand row for total population 0 (row 2^32 - 1, far out of bounds).
+  expect_wrapped_total_rejected(kSchweitzer);
+}
+
+TEST(MulticlassSeries, ExactWrappedTotalPopulationIsRejected) {
+  expect_wrapped_total_rejected(kExact);
+}
+
 TEST(MulticlassMom, WideShallowMixMatchesExact) {
   // Two 1-customer classes over 1,000 and 3,000 single-server stations: a
   // tiny mix whose moment lattice is wide and shallow.  It must cost about

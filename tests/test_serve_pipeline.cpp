@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -279,6 +280,67 @@ TEST(RequestParsing, HostileClassesInputsThrow) {
   for (const char* line : bad) {
     EXPECT_THROW(service::parse_request(line), std::exception)
         << "line: " << line;
+  }
+}
+
+TEST(RequestParsing, WrappedTotalClassPopulationIsRejected) {
+  // 4,295 classes of 1,000,000 customers each pass the per-class cap, but
+  // their total (4,295,000,000) does not fit in 32 bits.  Summed in 32 it
+  // wrapped to 32,704 and passed the total check.
+  std::string line = "{\"stations\":[{\"name\":\"cpu\"}],\"classes\":[";
+  for (int c = 0; c < 4295; ++c) {
+    line += (c == 0 ? "" : ",") + std::string("{\"name\":\"c") +
+            std::to_string(c) +
+            "\",\"population\":1000000,\"demands\":[0.001]}";
+  }
+  line += "]}";
+  try {
+    (void)service::parse_request(line);
+    FAIL() << "wrapped total class population accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(Error::prefix(), 0), 0u) << what;
+    EXPECT_NE(what.find("total class population 4295000000 is too large"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(RequestParsing, ServedSpecsAskForUtilizationRowsOnly) {
+  // Responses carry X, R, Z and utilizations, so every scenario the wire
+  // parses, flat or workmodel, solves without queue or residence rows.
+  const char* lines[] = {
+      "{\"stations\":[{\"name\":\"cpu\",\"servers\":4}],"
+      "\"demands\":{\"type\":\"constant\",\"values\":[0.02]},"
+      "\"max_population\":30}",
+      "{\"stations\":[{\"name\":\"cpu\"},{\"name\":\"disk\"}],"
+      "\"classes\":[{\"name\":\"a\",\"population\":5,"
+      "\"demands\":[0.1,0.2]}]}",
+      "{\"cmd\":\"workmodel\",\"entry\":\"web\",\"max_population\":20,"
+      "\"services\":{\"web\":{\"demand\":0.01,\"calls\":[{\"to\":\"db\"}]},"
+      "\"db\":{\"demand\":0.02}}}",
+  };
+  service::Engine engine;
+  for (const char* line : lines) {
+    SCOPED_TRACE(line);
+    const auto parsed = service::parse_request(line);
+    EXPECT_EQ(parsed.spec.options.station_rows,
+              core::StationRows::kUtilization);
+    const auto evaluation = engine.evaluate(parsed.spec);
+    EXPECT_TRUE(evaluation.result->station_queue.empty());
+    EXPECT_TRUE(evaluation.result->station_residence.empty());
+    EXPECT_TRUE(evaluation.result->class_station_queue.empty());
+    // The response is the one an all-rows solve gives.
+    core::ScenarioSpec full = parsed.spec;
+    full.options.station_rows = core::StationRows::kAll;
+    const core::MvaResult reference =
+        core::solve(full.network, &full.demands, full.options);
+    std::string served, expected;
+    service::append_evaluation(served, evaluation, true, parsed.id);
+    service::Evaluation ref_eval = evaluation;
+    ref_eval.result = std::make_shared<const core::MvaResult>(reference);
+    service::append_evaluation(expected, ref_eval, true, parsed.id);
+    EXPECT_EQ(served, expected);
   }
 }
 

@@ -113,6 +113,11 @@ TEST(Fingerprint, DistinguishesStructure) {
     s.network = core::make_network({"cpu", "ssd"}, {16, 1}, 1.0);
     variants.push_back(std::move(s));
   }
+  {  // utilization rows only: a lean entry must not answer an all-rows ask
+    auto s = basic_spec();
+    s.options.station_rows = core::StationRows::kUtilization;
+    variants.push_back(std::move(s));
+  }
   for (std::size_t i = 0; i < variants.size(); ++i) {
     EXPECT_FALSE(fingerprint(variants[i]) == base) << "variant " << i;
     for (std::size_t j = i + 1; j < variants.size(); ++j) {
@@ -226,6 +231,78 @@ TEST(Engine, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(engine.metrics().entries, 0u);
   EXPECT_EQ(engine.metrics().requests, 1u);
   EXPECT_FALSE(engine.evaluate(basic_spec()).cache_hit);
+}
+
+ScenarioSpec lean_spec(std::string label = "lean", unsigned users = 50) {
+  ScenarioSpec spec = basic_spec(std::move(label), users);
+  spec.options.station_rows = core::StationRows::kUtilization;
+  return spec;
+}
+
+TEST(Engine, StationRowsKeySeparateEntries) {
+  Engine engine(EngineOptions{.threads = 1});
+  const auto lean = engine.evaluate(lean_spec("lean", 120));
+  EXPECT_FALSE(lean.cache_hit);
+  EXPECT_EQ(lean.result->station_rows, core::StationRows::kUtilization);
+  EXPECT_TRUE(lean.result->station_queue.empty());
+  EXPECT_TRUE(lean.result->station_residence.empty());
+
+  // The same spec asking for every row misses and gets every row.
+  const auto full = engine.evaluate(basic_spec("full", 120));
+  EXPECT_FALSE(full.cache_hit);
+  EXPECT_EQ(full.result->station_rows, core::StationRows::kAll);
+  EXPECT_EQ(full.result->station_queue.size(), 120u * 2u);
+  EXPECT_EQ(full.result->station_residence.size(), 120u * 2u);
+  EXPECT_EQ(full.result->station_utilization,
+            lean.result->station_utilization);
+  EXPECT_EQ(full.result->throughput, lean.result->throughput);
+  EXPECT_EQ(engine.metrics().entries, 2u);
+
+  // A prefix hit on the lean entry is lean too, and matches a direct
+  // utilization-only solve.
+  const ScenarioSpec shallow = lean_spec("shallow", 40);
+  const auto trimmed = engine.evaluate(shallow);
+  EXPECT_TRUE(trimmed.prefix_hit);
+  EXPECT_EQ(trimmed.result->station_rows, core::StationRows::kUtilization);
+  EXPECT_TRUE(trimmed.result->station_queue.empty());
+  EXPECT_TRUE(trimmed.result->station_residence.empty());
+  const MvaResult direct =
+      core::solve(shallow.network, &shallow.demands, shallow.options);
+  EXPECT_EQ(trimmed.result->throughput, direct.throughput);
+  EXPECT_EQ(trimmed.result->cycle_time, direct.cycle_time);
+  EXPECT_EQ(trimmed.result->station_utilization, direct.station_utilization);
+}
+
+TEST(Engine, CacheBytesFollowStoreDeepenEvictAndClear) {
+  EngineOptions options;
+  options.cache_capacity = 1;
+  options.shards = 1;
+  options.threads = 1;
+  Engine engine(options);
+  EXPECT_EQ(engine.metrics().cache_bytes, 0u);
+
+  // A spline spec caches its tabulated grid rows next to its result.
+  const auto stored = engine.evaluate(spline_spec(0.010, 60));
+  const std::size_t grid_60 = 60u * 2u * sizeof(double);
+  EXPECT_EQ(engine.metrics().cache_bytes,
+            stored.result->bytes() + grid_60);
+
+  const auto deepened = engine.evaluate(spline_spec(0.010, 90));
+  EXPECT_FALSE(deepened.cache_hit);
+  EXPECT_EQ(engine.metrics().cache_bytes,
+            deepened.result->bytes() + 90u * 2u * sizeof(double));
+
+  // Capacity 1: a new structure evicts the spline entry.  Constant demands
+  // cache no grid.
+  const auto lean = engine.evaluate(lean_spec("lean", 30));
+  EXPECT_EQ(engine.metrics().evictions, 1u);
+  EXPECT_EQ(engine.metrics().cache_bytes, lean.result->bytes());
+  // Population, X, R, Z and one utilization row per level.
+  EXPECT_EQ(lean.result->bytes(),
+            30u * (sizeof(unsigned) + 3 * sizeof(double) + 2 * sizeof(double)));
+
+  engine.clear();
+  EXPECT_EQ(engine.metrics().cache_bytes, 0u);
 }
 
 TEST(Engine, BatchPreservesOrderAndCaches) {
