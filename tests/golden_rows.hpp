@@ -76,4 +76,34 @@ inline void expect_rows(const core::MvaResult& r,
   }
 }
 
+/// Compare a marginal trace (rows[n-1][j] = P(j | n)) at populations
+/// `levels` against `golden` (one P(0..C-1) list per level), bit for bit.
+inline void expect_trace_rows(const std::vector<std::vector<double>>& rows,
+                              const std::vector<unsigned>& levels,
+                              const std::vector<std::vector<double>>& golden) {
+  if (golden.empty()) {
+    std::ostringstream out;
+    out << std::hexfloat;
+    for (const unsigned n : levels) {
+      const std::vector<double>& v = rows.at(n - 1);
+      out << "{";
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        out << (i == 0 ? "" : i % 3 == 0 ? ",\n " : ", ") << v[i];
+      }
+      out << "},\n";
+    }
+    ADD_FAILURE() << "no golden literals; this build's are:\n" << out.str();
+    return;
+  }
+  ASSERT_EQ(golden.size(), levels.size());
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    SCOPED_TRACE("population " + std::to_string(levels[l]));
+    const std::vector<double>& v = rows.at(levels[l] - 1);
+    ASSERT_EQ(v.size(), golden[l].size());
+    for (std::size_t j = 0; j < v.size(); ++j) {
+      EXPECT_EQ(v[j], golden[l][j]) << "P(" << j << ")";
+    }
+  }
+}
+
 }  // namespace mtperf::golden
