@@ -5,7 +5,7 @@
 // This bench quantifies both sides of the trade on JPetStore: prediction
 // deviation AND wall-clock cost per solve, for
 //   exact MVASD | approximate MVASD (Schweitzer + M/M/C correction) |
-//   Seidmann transform + exact single-server | load-dependent exact MVA.
+//   Seidmann transform + exact single-server.
 #include <chrono>
 
 #include "bench_util.hpp"
@@ -45,8 +45,6 @@ int main() {
   timed("approx MVASD (Schweitzer + M/M/C)", model,
         core::SolverKind::kApproxMultiserver);
   timed("Seidmann + exact MVA (D@140)", at_140, core::SolverKind::kSeidmann);
-  timed("load-dependent exact MVA (D@140)", at_140,
-        core::SolverKind::kLoadDependent);
 
   TextTable t("Accuracy and cost per full 1..280 solve");
   t.set_header({"Solver", "X dev %", "R+Z dev %", "solve time (us)"});
@@ -58,8 +56,8 @@ int main() {
   }
   std::printf("%s\n", t.to_string().c_str());
   std::printf(
-      "Takeaways: (a) constant-demand solvers (Seidmann / load-dependent at a\n"
-      "single calibration point) cannot match the varying-demand solvers;\n"
+      "Takeaways: (a) a constant-demand solver (Seidmann at a single\n"
+      "calibration point) cannot match the varying-demand solvers;\n"
       "(b) among varying-demand solvers the exact recursion costs little more\n"
       "than the approximation at these sizes — the paper's choice is cheap.\n");
   return 0;

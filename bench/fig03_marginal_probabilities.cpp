@@ -7,7 +7,7 @@
 // probabilities converge to their saturation fixed point.
 #include "bench_util.hpp"
 #include "core/demand_model.hpp"
-#include "core/detail/multiserver_engine.hpp"
+#include "core/detail/batch_engine.hpp"
 #include "core/network.hpp"
 
 int main() {
@@ -23,11 +23,17 @@ int main() {
   const unsigned max_users = 120;
 
   // The marginals are internal state of the recursion, so this bench runs
-  // the Algorithm 2 engine directly instead of core::solve.
+  // a one-lane block of the kernel with its trace hook instead of
+  // core::solve.
   core::detail::MarginalTrace trace;
   trace.station = net.index_of("cpu");
-  const auto result =
-      core::detail::run_multiserver_mva(net, demand, max_users, &trace);
+  std::vector<core::detail::BatchLane> lane(1);
+  lane[0].network = &net;
+  lane[0].demands = &demand;
+  lane[0].max_population = max_users;
+  lane[0].trace = &trace;
+  const core::MvaResult result =
+      std::move(core::detail::solve_lane_block(lane)[0]);
 
   TextTable table("P(j busy cores) after the population-n update");
   table.set_header({"Users", "P(0)", "P(1)", "P(2)", "P(3)", "CPU util",

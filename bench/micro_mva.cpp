@@ -1,9 +1,8 @@
 // Microbenchmarks of the MVA solver family (google-benchmark).
 //
-// Documents the cost argument in DESIGN.md: Algorithm 2/3 is O(N K) while
-// the full load-dependent recursion is O(N^2 K) — the practical reason the
-// paper builds its varying-demand algorithm on the multi-server recursion
-// rather than on JMT-style load-dependent arrays.
+// Times the recursions behind core::solve: single-server exact MVA,
+// Schweitzer, and the exact multi-server recursion (Algorithms 2 and 3,
+// kMvasd) — all O(N K).
 //
 // Also carries the before/after pairs for the hot-path overhaul (tabulated
 // DemandGrid + workspace + SoA results vs the original per-(n,k) functional
@@ -25,11 +24,10 @@
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
 #include "core/demand_model.hpp"
-#include "core/detail/multiserver_engine.hpp"
 #include "core/detail/mva_exact.hpp"
-#include "core/detail/mva_load_dependent.hpp"
 #include "core/detail/mva_schweitzer.hpp"
 #include "core/network.hpp"
+#include "core/solve.hpp"
 #include "interp/cubic_spline.hpp"
 
 namespace {
@@ -223,29 +221,13 @@ void BM_MultiServerMva(benchmark::State& state) {
   const auto net = make_net(12, 16);
   const auto model = core::DemandModel::constant(make_demands(12));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::detail::run_multiserver_mva(net, model, n));
+    benchmark::DoNotOptimize(
+        core::solve(net, model, {core::SolverKind::kMvasd, n}));
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_MultiServerMva)->Arg(100)->Arg(500)->Arg(1500)
     ->Complexity(benchmark::oN);
-
-void BM_LoadDependentMva(benchmark::State& state) {
-  const auto n = static_cast<unsigned>(state.range(0));
-  const auto net = make_net(12, 16);
-  const auto demands = make_demands(12);
-  std::vector<core::detail::RateMultiplier> rates;
-  for (std::size_t k = 0; k < 12; ++k) {
-    rates.push_back(core::detail::multiserver_rate(k % 3 == 0 ? 16 : 1));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::detail::load_dependent_mva(net, demands, rates, n));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_LoadDependentMva)->Arg(100)->Arg(500)->Arg(1500)
-    ->Complexity(benchmark::oNSquared);
 
 // ---------------------------------------------------------------------------
 // Before/after: grid-path MVASD vs the seed-style functional path.
@@ -256,7 +238,8 @@ void BM_Mvasd(benchmark::State& state) {
   const auto net = make_net(k, 16);
   const auto model = make_spline_demands(k, n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::detail::run_multiserver_mva(net, model, n));
+    benchmark::DoNotOptimize(
+        core::solve(net, model, {core::SolverKind::kMvasd, n}));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -395,7 +378,7 @@ void write_solver_json() {
   const double grid_ms = time_ms(
       [&] {
         benchmark::DoNotOptimize(
-            core::detail::run_multiserver_mva(net, model, kPop));
+            core::solve(net, model, {core::SolverKind::kMvasd, kPop}));
       },
       20);
   const double seed_ms = time_ms(

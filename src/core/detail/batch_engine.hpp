@@ -1,24 +1,38 @@
-// Lane-major batched MVA: solve whole what-if batches in lockstep.
+// The exact multi-server MVA recursion — the paper's Algorithm 2 (constant
+// demands) and Algorithm 3 (MVASD, concurrency- or throughput-varying
+// demands) — run in lane-major lockstep.  It is the one implementation of
+// that recursion: core::solve(kMvasd) runs it as a one-lane block, and
+// batches run it as blocks of up to kBatchLaneBlock lanes.
+//
+// MVASD is the paper's contribution: exact multi-server MVA in which each
+// station's service demand is not a constant but an *array* SS_k^n indexed
+// by concurrency, produced by spline interpolation of demands measured at a
+// few load-test points (Service Demand Law).  At every population n the
+// recursion re-evaluates the splines (Eq. 11), so the predicted
+// throughput/response-time slopes track the measured demand variation —
+// the effect plain MVA misses (paper Figs. 4-7).  A throughput-axis
+// DemandModel gives Section 7's variant: demands interpolated against
+// throughput and looked up with the previous iteration's X.
 //
 // Capacity-planning traffic is batch-shaped — hundreds of structurally
 // identical networks (same stations, server counts and kinds) that differ
 // only in demands, visit counts, think times, or requested population.
-// Instead of one scalar recursion per scenario, the batch engine runs the
-// population recursion n = 1..N once for a whole group of such scenarios
-// ("lanes"), with every piece of per-scenario state laid out lane-major:
+// Instead of one recursion per scenario, a block runs the population
+// recursion n = 1..N once for a whole group of such scenarios ("lanes"),
+// with every piece of per-scenario state laid out lane-major:
 // state[k][lane], contiguous across the batch.  The inner station loop then
 // becomes a dense sweep over lanes that auto-vectorizes under -O3 — the
 // batch dimension is the one axis the exact recursion can exploit without
-// approximation (per-lane arithmetic stays operation-for-operation
-// identical to the scalar engine, so results match scalar solves
-// bit-for-bit).
+// approximation (lanes are independent, so a lane's result is bit-identical
+// whatever block it runs in).
 //
 // Ragged batches (per-lane max_population) are handled by lane retirement:
 // lanes are ordered by descending population so the active set is always a
 // contiguous prefix that shrinks as shallow lanes finish.
 //
-// Not part of the public API — callers go through core::solve_batch (the
-// facade), core::run_scenarios, or service::Engine::evaluate_batch.
+// Not part of the public API — callers go through core::solve and
+// core::solve_batch (the facade), core::run_scenarios, or
+// service::Engine::evaluate_batch.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +55,16 @@ namespace mtperf::core::detail {
 /// 256-scenario batch into enough work units to feed every pool worker.
 inline constexpr std::size_t kBatchLaneBlock = 16;
 
+/// Optional per-population capture of one station's marginal queue-size
+/// probabilities P_k(j), j = 0..C_k-1 (paper Fig. 3 plots these for a
+/// 4-core CPU).  Only multi-server queueing stations keep marginals; a
+/// trace of any other station is refused.
+struct MarginalTrace {
+  std::size_t station = 0;
+  /// rows[n-1][j] = P_station(j | n) after the population-n update.
+  std::vector<std::vector<double>> rows;
+};
+
 /// One scenario of a structure-compatible group.  `network` and `demands`
 /// are borrowed and must outlive the solve.
 struct BatchLane {
@@ -56,10 +80,13 @@ struct BatchLane {
   /// The station rows this lane's result carries; lanes of one block may
   /// differ.
   StationRows rows = StationRows::kAll;
+  /// Optional marginal trace of this lane (borrowed; its `station` selects
+  /// the station, its rows are replaced).
+  MarginalTrace* trace = nullptr;
 };
 
-/// True when `kind` runs the exact multi-server recursion the batched
-/// kernel implements (kMvasd, Algorithms 2 and 3).
+/// True when `kind` runs the exact multi-server recursion this kernel
+/// implements (kMvasd, Algorithms 2 and 3).
 bool batchable_solver(SolverKind kind);
 
 /// Grouping key: two specs may share a lockstep group iff their keys match
@@ -89,10 +116,11 @@ BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs);
 
 /// Solve one structure-compatible lane group in lockstep and return one
 /// MvaResult per lane, in input order.  All lanes must share the structure
-/// batch_structure_key captures; per-lane arithmetic is identical to
-/// detail::run_multiserver_mva.  Callers chunk large groups into
-/// kBatchLaneBlock-sized blocks (see plan_batch) and run blocks in
-/// parallel; the kernel itself is single-threaded.
+/// batch_structure_key captures.  A one-lane block runs a width-1
+/// instantiation of the same per-level code (no padding, rows written in
+/// place).  Callers chunk large groups into kBatchLaneBlock-sized blocks
+/// (see plan_batch) and run blocks in parallel; the kernel itself is
+/// single-threaded.
 std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes);
 
 }  // namespace mtperf::core::detail

@@ -266,7 +266,7 @@ MvaResult solve_hierarchical(const ClosedNetwork& network,
       u.support = prof.support;
       u.alpha.assign(u.support + 1, 1.0);
       // Running max: exact closed-network throughput is provably
-      // non-decreasing in population, but the multiserver engine's
+      // non-decreasing in population, but the multi-server recursion's
       // saturated-regime projection can wiggle a deeply saturated
       // subnetwork's profile at the ~1e-3 level.  Monotonizing restores
       // the physical invariant the reduced recursion depends on
@@ -354,7 +354,7 @@ MvaResult solve_hierarchical(const ClosedNetwork& network,
 
   // ---- The reduced recursion (DESIGN.md §15).
   //
-  // Asymptote-plus-correction form — the multiserver engine's
+  // Asymptote-plus-correction form — the multi-server recursion's
   // R = (S/C)(1 + Q + F) generalized to arbitrary monotone rate profiles:
   //
   //   R(n) = (S / a_sat) (1 + Q(n-1) + F),
@@ -378,9 +378,11 @@ MvaResult solve_hierarchical(const ClosedNetwork& network,
   // (y = X V S, the expected capacity in use), never from the
   // catastrophically cancelling 1 - sum p(j).  A station pushed past its
   // anchor (y >= a) zeroes its marginals: the exact asymptote, as in the
-  // multiserver engine.  For an untouched C-server station
-  // (alpha(j) = min(j, C)) all of this degenerates to the multiserver
-  // engine's own recursion, term for term.
+  // multi-server recursion.  For an untouched C-server station
+  // (alpha(j) = min(j, C)) all of this degenerates to the multi-server
+  // recursion (batch_engine.cpp) term for term in exact arithmetic; the
+  // two round differently, which is why they stay two kernels
+  // (DESIGN.md §15).
   //
   // The regrouping is exact for any anchor a >= alpha(j) over the
   // occupied range, so each level anchors at a = alpha(min(n, support)):
@@ -423,7 +425,7 @@ MvaResult solve_hierarchical(const ClosedNetwork& network,
       u.queue = x * u.residence;
       // Utilization is pure reporting (nothing downstream reads it back):
       // offered capacity-in-use over the profile's full truncation-depth
-      // capacity, matching the load-dependent oracle's convention.
+      // capacity (X V S / C for a C-server station).
       u.util = y / u.alpha_sat;
       const double a = u.alpha[std::min(n, u.support)];
       if (y >= a) {

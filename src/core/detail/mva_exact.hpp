@@ -19,7 +19,7 @@ namespace mtperf::core::detail {
 /// Solve the closed network for populations 1..max_population with constant
 /// per-visit service times `service_times` (S_k, one per station).  Station
 /// server counts are ignored — this is the single-server algorithm; use
-/// run_multiserver_mva or normalize demands for multi-core stations.
+/// SolverKind::kMvasd or normalize demands for multi-core stations.
 /// `rows` picks the stored station rows (StationRows::kUtilization skips
 /// the queue and residence rows).
 MvaResult exact_mva(const ClosedNetwork& network,

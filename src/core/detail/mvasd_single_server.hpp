@@ -2,7 +2,7 @@
 // throughput-varying demands, but with multi-core CPUs handled by dividing
 // demands by the core count and running the single-server recursion.  The
 // paper shows this normalization is distinctly worse than the exact
-// multi-server model (run_multiserver_mva).  Reached through core::solve
+// multi-server model (kMvasd).  Reached through core::solve
 // (SolverKind::kMvasdSingleServer); not part of the public API.
 #pragma once
 

@@ -1,6 +1,7 @@
 #include "core/solve.hpp"
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -10,10 +11,8 @@
 #include "core/detail/hierarchy_engine.hpp"
 #include "core/detail/multiclass_batch_engine.hpp"
 #include "core/detail/multiclass_engine.hpp"
-#include "core/detail/multiserver_engine.hpp"
 #include "core/detail/mva_approx_multiserver.hpp"
 #include "core/detail/mva_exact.hpp"
-#include "core/detail/mva_load_dependent.hpp"
 #include "core/detail/mva_schweitzer.hpp"
 #include "core/detail/mva_seidmann.hpp"
 #include "core/detail/mvasd_single_server.hpp"
@@ -32,7 +31,6 @@ constexpr KindName kKindNames[] = {
     {SolverKind::kExactSingleServer, "exact"},
     {SolverKind::kSchweitzer, "schweitzer"},
     {SolverKind::kApproxMultiserver, "approx-multiserver"},
-    {SolverKind::kLoadDependent, "load-dependent"},
     {SolverKind::kMvasd, "mvasd"},
     {SolverKind::kMvasdSingleServer, "mvasd-single-server"},
     {SolverKind::kSeidmann, "seidmann"},
@@ -66,9 +64,12 @@ SolverKind parse_solver_kind(const std::string& name) {
   for (const auto& [kind, n] : kKindNames) {
     if (name == n) return kind;
   }
-  // Algorithm 2 is Algorithm 3 over constant demands; its historical name
-  // stays accepted as an alias.
-  if (name == "exact-multiserver") return SolverKind::kMvasd;
+  // Algorithm 2 is Algorithm 3 over constant demands, and a C-server
+  // station is the load-dependent station with alpha(j) = min(j, C): both
+  // historical names stay accepted as aliases of the one recursion.
+  if (name == "exact-multiserver" || name == "load-dependent") {
+    return SolverKind::kMvasd;
+  }
   throw invalid_argument_error("unknown solver kind: '" + name + "'");
 }
 
@@ -151,20 +152,26 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
           options.schweitzer, rows);
     case SolverKind::kApproxMultiserver:
       return detail::approx_mvasd(network, *demands, n, options.approx, rows);
-    case SolverKind::kLoadDependent: {
-      std::vector<detail::RateMultiplier> rates;
-      rates.reserve(network.size());
-      for (const auto& st : network.stations()) {
-        rates.push_back(detail::multiserver_rate(st.servers));
-      }
-      return detail::load_dependent_mva(
-          network, constant_demands(*demands, options.solver), rates, n, rows);
-    }
-    case SolverKind::kMvasd:
+    case SolverKind::kMvasd: {
       // Algorithm 3; with a constant model this is exactly Algorithm 2
-      // (the same recursion over one demand row).
-      return detail::run_multiserver_mva(network, *demands, n,
-                                         /*trace=*/nullptr, grid, rows);
+      // (the same recursion over one demand row).  One lane of the lockstep
+      // kernel, borrowing the caller's grid when there is one.
+      std::vector<detail::BatchLane> lane(1);
+      lane[0].network = &network;
+      lane[0].demands = demands;
+      lane[0].max_population = n;
+      lane[0].rows = rows;
+      if (grid != nullptr) {
+        MTPERF_REQUIRE(grid->tabulated(),
+                       "prebuilt demand grids must be tabulated");
+        MTPERF_REQUIRE(grid->stations() == network.size() &&
+                           grid->max_population() >= n,
+                       "prebuilt demand grid does not cover this solve");
+        lane[0].grid = std::shared_ptr<const DemandGrid>(
+            std::shared_ptr<const DemandGrid>(), grid);
+      }
+      return std::move(detail::solve_lane_block(lane)[0]);
+    }
     case SolverKind::kMvasdSingleServer:
       return detail::mvasd_single_server(network, *demands, n, grid, rows);
     case SolverKind::kSeidmann:

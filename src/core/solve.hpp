@@ -34,7 +34,6 @@ enum class SolverKind {
   kExactSingleServer,   ///< Algorithm 1 — constant demands
   kSchweitzer,          ///< Eq. 9 fixed point — constant demands
   kApproxMultiserver,   ///< Schweitzer + M/M/C correction — any demands
-  kLoadDependent,       ///< full marginal recursion — constant demands
   kMvasd,               ///< Algorithms 2 and 3 — any demands
   kMvasdSingleServer,   ///< Fig. 8 baseline: demands / C_k — any demands
   kSeidmann,            ///< Seidmann transform + exact recursion — constant
@@ -57,8 +56,10 @@ inline bool is_multiclass(SolverKind kind) noexcept {
 /// CLI, the serve tool's JSON protocol, and error messages.
 const char* solver_kind_name(SolverKind kind);
 
-/// Inverse of solver_kind_name, plus the alias "exact-multiserver" for
-/// kMvasd; throws mtperf::invalid_argument_error for unknown names.
+/// Inverse of solver_kind_name, plus the aliases "exact-multiserver"
+/// (Algorithm 2) and "load-dependent" (the multi-server law
+/// alpha_k(j) = min(j, C_k)) for kMvasd; throws
+/// mtperf::invalid_argument_error for unknown names.
 SolverKind parse_solver_kind(const std::string& name);
 
 /// One aggregation unit of the hierarchical solver (kHierarchical): the
@@ -154,17 +155,21 @@ void finalize_multiclass_options(SolveOptions& options);
 ///
 /// `demands` must be non-null and match the network's station count.
 /// Solvers without a varying-demand variant (kExactSingleServer,
-/// kSchweitzer, kLoadDependent, kSeidmann*) require a constant model
+/// kSchweitzer, kSeidmann*) require a constant model
 /// (DemandModel::constant); kApproxMultiserver, kMvasd and
 /// kMvasdSingleServer accept any model (Algorithm 3 *is* Algorithm 2 with
-/// demand arrays).  kLoadDependent uses the multi-server law
-/// alpha_k(j) = min(j, C_k) of each station.
+/// demand arrays).  kMvasd runs the lane kernel's one-lane path
+/// (core/detail/batch_engine.hpp), the same recursion solve_batch runs in
+/// wider blocks.
 /// All validation failures throw mtperf::invalid_argument_error.
 ///
 /// `grid` optionally supplies an already-tabulated DemandGrid for `demands`
 /// (tabulated to >= options.max_population).  Only the grid-driven kinds
 /// (kMvasd, kMvasdSingleServer) use it; other solvers ignore it.  This is
-/// the scenario engine's deepen-reuse hook.
+/// the scenario engine's deepen-reuse hook.  kMvasd refuses an untabulated
+/// grid ("prebuilt demand grids must be tabulated") and one with the wrong
+/// width or too few rows ("prebuilt demand grid does not cover this
+/// solve").
 ///
 /// Multiclass kinds read options.classes instead of `demands` (which may
 /// be null for them) and take their deepen-reuse hook via `class_grid` — a

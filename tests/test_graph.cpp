@@ -203,7 +203,6 @@ TEST(Compile, VisitMathMatchesHandBuiltNetworkAcrossAllSolvers) {
       core::SolverKind::kExactSingleServer,
       core::SolverKind::kSchweitzer,
       core::SolverKind::kApproxMultiserver,
-      core::SolverKind::kLoadDependent,
       core::SolverKind::kMvasd,
       core::SolverKind::kMvasdSingleServer,
       core::SolverKind::kSeidmann,

@@ -1,8 +1,8 @@
 // Tests for the hierarchical flow-equivalent-server solver: exactness on
 // product-form meshes, the truncated-support approximation, prefix parity
 // (the engine's cache contract), partition validation, FES-profile
-// memoization through the scenario engine, the load-dependent oracle
-// cross-check, the graph/workmodel partition surfaces, and the solver's
+// memoization through the scenario engine, the cross-check against the
+// convolution oracle (convolution_oracle.hpp), the graph/workmodel partition surfaces, and the solver's
 // golden bits.
 #include <gtest/gtest.h>
 
@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "convolution_oracle.hpp"
 #include "core/demand_model.hpp"
 #include "core/detail/hierarchy_engine.hpp"
-#include "core/detail/mva_load_dependent.hpp"
 #include "core/network.hpp"
 #include "core/solve.hpp"
 #include "core/sweep.hpp"
@@ -226,7 +226,7 @@ TEST(Hierarchical, TierDetailReportsFesRowsWithSameSystemSeries) {
   EXPECT_NEAR(total, static_cast<double>(tiers.levels()) - thinking, 1e-6);
 }
 
-// --- oracle cross-check against the load-dependent recursion ---------------
+// --- oracle cross-check against the convolution oracle -------------------
 
 TEST(Hierarchical, MatchesHandBuiltLoadDependentOracle) {
   // Two-tier network with single-server remainder, so the oracle reduced
@@ -247,32 +247,28 @@ TEST(Hierarchical, MatchesHandBuiltLoadDependentOracle) {
   EXPECT_EQ(sub.network.think_time(), 0.0);
   const auto profile = core::solve(sub.network, &sub.demands, sub.options);
 
-  // Reduced network: the FES station (visits 1, service 1/X(1), rates
-  // X(j)/X(1)) plus the untouched single server — solved by the
-  // load-dependent recursion's profile overload (the oracle).
+  // Reduced network: the FES station (demand 1/X(1), rates X(j)/X(1))
+  // plus the untouched single server — solved exactly by the convolution
+  // oracle with the FES profile as a load-dependent rate law.
   const double x1 = profile.throughput[0];
   std::vector<double> alpha;
   for (unsigned j = 1; j <= n_max; ++j) {
     alpha.push_back(profile.throughput[j - 1] / x1);
   }
-  ClosedNetwork reduced({Station{"fes:pool", 1.0, 1, StationKind::kQueueing},
-                         Station{"front", 1.0, 1, StationKind::kQueueing}},
-                        0.5);
-  const std::vector<double> service_times = {1.0 / x1, 0.004};
-  const auto oracle = core::detail::load_dependent_mva(
-      reduced, service_times, std::vector<std::vector<double>>{alpha, {1.0}},
-      n_max);
+  const auto exact = oracle::solve(
+      {{.demand = 1.0 / x1, .rates = alpha}, {.demand = 0.004}}, 0.5, n_max);
 
   SolveOptions hier{SolverKind::kHierarchical, n_max};
   hier.hierarchy.tiers = {tier};
   hier.hierarchy.detail = HierarchyDetail::kTiers;
   const auto fes = core::solve(network, &demands, hier);
 
-  EXPECT_LT(max_rel_diff(fes.throughput, oracle.throughput), 1e-11);
-  EXPECT_LT(max_rel_diff(fes.response_time, oracle.response_time), 1e-11);
-  for (std::size_t level = 0; level < oracle.levels(); ++level) {
-    EXPECT_NEAR(fes.queue(level, 0), oracle.queue(level, 0), 1e-9);
-    EXPECT_NEAR(fes.queue(level, 1), oracle.queue(level, 1), 1e-9);
+  EXPECT_LT(max_rel_diff(fes.throughput, exact.throughput), 1e-11);
+  EXPECT_LT(max_rel_diff(fes.response_time, exact.response_time), 1e-11);
+  ASSERT_EQ(exact.queue.size(), fes.levels());
+  for (std::size_t level = 0; level < fes.levels(); ++level) {
+    EXPECT_NEAR(fes.queue(level, 0), exact.queue[level][0], 1e-9);
+    EXPECT_NEAR(fes.queue(level, 1), exact.queue[level][1], 1e-9);
   }
 }
 

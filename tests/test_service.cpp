@@ -13,7 +13,7 @@
 #include "apps/jpetstore.hpp"
 #include "apps/vins.hpp"
 #include "common/error.hpp"
-#include "core/detail/multiserver_engine.hpp"
+#include "core/detail/batch_engine.hpp"
 #include "core/detail/mvasd_single_server.hpp"
 #include "core/prediction.hpp"
 #include "core/solve.hpp"
@@ -21,6 +21,7 @@
 #include "service/engine.hpp"
 #include "service/fingerprint.hpp"
 #include "service/json.hpp"
+#include "service/request.hpp"
 #include "workload/campaign.hpp"
 
 namespace mtperf {
@@ -534,8 +535,8 @@ TEST(Engine, MomMulticlassCachesWholeMixesOnly) {
 TEST(SolveFacade, KindNamesRoundTrip) {
   for (const auto kind :
        {SolverKind::kExactSingleServer, SolverKind::kSchweitzer,
-        SolverKind::kApproxMultiserver, SolverKind::kLoadDependent,
-        SolverKind::kMvasd, SolverKind::kMvasdSingleServer,
+        SolverKind::kApproxMultiserver, SolverKind::kMvasd,
+        SolverKind::kMvasdSingleServer,
         SolverKind::kSeidmann, SolverKind::kSeidmannSchweitzer,
         SolverKind::kHierarchical}) {
     EXPECT_EQ(core::parse_solver_kind(core::solver_kind_name(kind)), kind);
@@ -548,6 +549,85 @@ TEST(SolveFacade, ExactMultiserverIsAnAliasOfMvasd) {
   // historical name still parses and whose canonical name is "mvasd".
   EXPECT_EQ(core::parse_solver_kind("exact-multiserver"), SolverKind::kMvasd);
   EXPECT_STREQ(core::solver_kind_name(SolverKind::kMvasd), "mvasd");
+}
+
+TEST(SolveFacade, LoadDependentIsAnAliasOfMvasd) {
+  // A C-server queue is the load-dependent station alpha(j) = min(j, C),
+  // so "load-dependent" names the mvasd kind: the same spec sent under
+  // either name serializes to the same bytes and shares one cache entry.
+  EXPECT_EQ(core::parse_solver_kind("load-dependent"), SolverKind::kMvasd);
+  const std::string body =
+      "\"label\":\"ld\",\"think\":1.0,"
+      "\"stations\":[{\"name\":\"cpu\",\"servers\":16},{\"name\":\"disk\"},"
+      "{\"name\":\"lan\",\"kind\":\"delay\"}],"
+      "\"demands\":{\"type\":\"constant\",\"values\":[0.012,0.03,0.002]},"
+      "\"max_population\":200,\"series\":true}";
+  const auto alias =
+      service::parse_request("{\"solver\":\"load-dependent\"," + body);
+  const auto canonical =
+      service::parse_request("{\"solver\":\"mvasd\"," + body);
+  EXPECT_EQ(alias.spec.options.solver, SolverKind::kMvasd);
+  EXPECT_EQ(fingerprint(alias.spec), fingerprint(canonical.spec));
+  // Fresh engines: both names miss and serialize the same bytes (the
+  // measured solve time aside).
+  const auto serialize = [](const service::ParsedRequest& request) {
+    Engine engine;
+    service::Evaluation ev = engine.evaluate(request.spec);
+    ev.solve_ms = 0.0;
+    std::string out;
+    service::append_evaluation(out, ev, request.series, request.id);
+    return out;
+  };
+  EXPECT_EQ(serialize(alias), serialize(canonical));
+  // One engine: the second name hits the first name's entry.
+  Engine engine;
+  const auto first = engine.evaluate(alias.spec);
+  const auto second = engine.evaluate(canonical.spec);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(first.result.get(), second.result.get());
+}
+
+TEST(SolveFacade, MvasdRefusesUnusablePrebuiltGrids) {
+  // The deepen-reuse hook borrows the caller's grid as is: a grid that is
+  // not tabulated, or does not cover the solve, is refused by name rather
+  // than re-tabulated behind the caller's back.
+  const auto spec = basic_spec();
+  const core::SolveOptions options{SolverKind::kMvasd, 40};
+  const auto message = [&](const core::DemandModel& demands,
+                           const core::DemandGrid& grid) {
+    try {
+      (void)core::solve(spec.network, demands, options, &grid);
+    } catch (const invalid_argument_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const auto by_x = [&] {
+    std::vector<std::shared_ptr<const interp::Interpolator1D>> fns;
+    for (std::size_t k = 0; k < spec.network.size(); ++k) {
+      fns.push_back(std::make_shared<interp::PiecewiseCubic>(
+          interp::build_cubic_spline(
+              interp::SampleSet({1.0, 50.0, 100.0}, {0.01, 0.012, 0.015}))));
+    }
+    return DemandModel::interpolated(std::move(fns),
+                                     DemandModel::Axis::kThroughput);
+  }();
+  EXPECT_NE(message(by_x, core::DemandGrid(by_x, 40))
+                .find("prebuilt demand grids must be tabulated"),
+            std::string::npos);
+  EXPECT_NE(message(spec.demands, core::DemandGrid(spec.demands, 39))
+                .find("prebuilt demand grid does not cover this solve"),
+            std::string::npos);
+  const auto wider = DemandModel::constant(
+      std::vector<double>(spec.network.size() + 1, 0.01));
+  EXPECT_NE(message(spec.demands, core::DemandGrid(wider, 40))
+                .find("prebuilt demand grid does not cover this solve"),
+            std::string::npos);
+  // A covering grid is borrowed and gives the grid-free solve's bits.
+  const core::DemandGrid deep(spec.demands, 60);
+  EXPECT_EQ(core::solve(spec.network, spec.demands, options, &deep).throughput,
+            core::solve(spec.network, spec.demands, options).throughput);
 }
 
 TEST(SolveFacade, ErrorsCarryStablePrefix) {
@@ -640,11 +720,20 @@ workload::CampaignResult* FacadeParity::jps_ = nullptr;
 // The *MatchesLegacy tests pin that the facade dispatches each campaign
 // spec to the kernel its kind names.
 
+/// A one-lane block of the lane kernel, called directly.
+MvaResult lane_solve(const core::ClosedNetwork& network,
+                     const DemandModel& demands, unsigned max_population) {
+  std::vector<core::detail::BatchLane> lane(1);
+  lane[0].network = &network;
+  lane[0].demands = &demands;
+  lane[0].max_population = max_population;
+  return std::move(core::detail::solve_lane_block(lane)[0]);
+}
+
 TEST_F(FacadeParity, VinsMvasdMatchesLegacy) {
   const auto spec = core::mvasd_scenario("MVASD", vins_->table, kThink, 800);
   const auto via_facade = core::solve(spec.network, spec.demands, spec.options);
-  const auto legacy =
-      core::detail::run_multiserver_mva(spec.network, spec.demands, 800);
+  const auto legacy = lane_solve(spec.network, spec.demands, 800);
   expect_identical(via_facade, legacy, kTol);
 }
 
@@ -652,7 +741,7 @@ TEST_F(FacadeParity, VinsFixedMvaMatchesLegacy) {
   const auto spec =
       core::mva_fixed_scenario("MVA 203", vins_->table, kThink, 800, 203.0);
   const auto via_facade = core::solve(spec.network, spec.demands, spec.options);
-  const auto legacy = core::detail::run_multiserver_mva(
+  const auto legacy = lane_solve(
       spec.network,
       DemandModel::constant(vins_->table.demands_at_concurrency(203.0)), 800);
   expect_identical(via_facade, legacy, kTol);
@@ -661,8 +750,7 @@ TEST_F(FacadeParity, VinsFixedMvaMatchesLegacy) {
 TEST_F(FacadeParity, JPetStoreMvasdMatchesLegacy) {
   const auto spec = core::mvasd_scenario("MVASD", jps_->table, kThink, 280);
   const auto via_facade = core::solve(spec.network, spec.demands, spec.options);
-  const auto legacy =
-      core::detail::run_multiserver_mva(spec.network, spec.demands, 280);
+  const auto legacy = lane_solve(spec.network, spec.demands, 280);
   expect_identical(via_facade, legacy, kTol);
 }
 
