@@ -1,5 +1,5 @@
 // Tests for the lane-major batched MVA kernel: structure grouping,
-// lockstep parity against per-spec scalar solves (VINS- and
+// lockstep parity against per-spec core::solve calls (VINS- and
 // JPetStore-shaped fixtures, multi-server + delay stations, both demand
 // axes, ragged populations), the solve_batch facade, the scenario
 // engine's batch dedup + cached-grid deepening, and mvasd's golden bits.
@@ -33,8 +33,9 @@ using core::SolverKind;
 using core::Station;
 using core::StationKind;
 
-// The ISSUE-level parity budget; the kernel mirrors the scalar engine's
-// arithmetic operation-for-operation, so the observed difference is zero.
+// The parity budget.  A per-spec core::solve runs a one-lane block of the
+// same kernel, and a lane's arithmetic does not depend on its block, so
+// the observed difference is zero.
 constexpr double kParityTol = 1e-12;
 
 void expect_parity(const MvaResult& got, const MvaResult& want) {
