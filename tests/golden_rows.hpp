@@ -1,8 +1,8 @@
-// Golden bits of single-class MvaResult rows, shared by the suites that pin
-// a solver's output: at chosen population levels, the system throughput X,
-// response time R and cycle time Z plus every station's queue Q,
-// utilization U and residence, compared with EXPECT_EQ against hex-float
-// literals.
+// Golden bits of MvaResult rows, shared by the suites that pin a solver's
+// output: at chosen population levels, the system throughput X, response
+// time R and cycle time Z plus every station's queue Q, utilization U and
+// residence (and, for a multiclass result, every class's X and R and every
+// class-station queue), compared with EXPECT_EQ against hex-float literals.
 //
 // A case whose literal list is empty fails and prints this build's
 // literals in paste-ready form.  That is how a new case is captured, and
@@ -22,7 +22,8 @@
 namespace mtperf::golden {
 
 /// {X, R, Z, Q_0..Q_{K-1}, U_0..U_{K-1}, residence_0..residence_{K-1}} of
-/// one result row.
+/// one result row; a multiclass result appends X_0..X_{C-1},
+/// R_0..R_{C-1} and the class-station queues Q_{c,k} at c * K + k.
 inline std::vector<double> row_values(const core::MvaResult& r,
                                       std::size_t row) {
   std::vector<double> v = {r.throughput[row], r.response_time[row],
@@ -34,20 +35,40 @@ inline std::vector<double> row_values(const core::MvaResult& r,
   for (std::size_t k = 0; k < r.stations(); ++k) {
     v.push_back(r.residence(row, k));
   }
+  for (std::size_t c = 0; c < r.classes(); ++c) v.push_back(r.class_x(row, c));
+  for (std::size_t c = 0; c < r.classes(); ++c) v.push_back(r.class_r(row, c));
+  for (std::size_t c = 0; c < r.classes(); ++c) {
+    for (std::size_t k = 0; k < r.stations(); ++k) {
+      v.push_back(r.class_queue(row, c, k));
+    }
+  }
   return v;
 }
 
-/// Name of entry i of row_values for a result with k_count stations.
-inline std::string field_name(std::size_t i, std::size_t k_count) {
+/// Name of entry i of row_values for a result with k_count stations and
+/// c_count classes.
+inline std::string field_name(std::size_t i, std::size_t k_count,
+                              std::size_t c_count) {
   if (i < 3) return i == 0 ? "X" : i == 1 ? "R" : "Z";
-  const std::size_t k = (i - 3) % k_count;
-  const char* kinds[] = {"Q", "U", "residence"};
-  return std::string(kinds[(i - 3) / k_count]) + " of station " +
-         std::to_string(k);
+  i -= 3;
+  if (i < 3 * k_count) {
+    const char* kinds[] = {"Q", "U", "residence"};
+    return std::string(kinds[i / k_count]) + " of station " +
+           std::to_string(i % k_count);
+  }
+  i -= 3 * k_count;
+  if (i < 2 * c_count) {
+    return std::string(i < c_count ? "X" : "R") + " of class " +
+           std::to_string(i % c_count);
+  }
+  i -= 2 * c_count;
+  return "Q of class " + std::to_string(i / k_count) + " at station " +
+         std::to_string(i % k_count);
 }
 
 /// Compare `r` at populations `levels` against `golden` (one row_values
-/// list per level), bit for bit.
+/// list per level), bit for bit.  The printed literals of a multiclass
+/// result also give its mc_iterations, which the caller pins itself.
 inline void expect_rows(const core::MvaResult& r,
                         const std::vector<unsigned>& levels,
                         const std::vector<std::vector<double>>& golden) {
@@ -62,6 +83,7 @@ inline void expect_rows(const core::MvaResult& r,
       }
       out << "},\n";
     }
+    if (r.classes() > 0) out << "mc_iterations: " << r.mc_iterations << "\n";
     ADD_FAILURE() << "no golden literals; this build's are:\n" << out.str();
     return;
   }
@@ -71,7 +93,8 @@ inline void expect_rows(const core::MvaResult& r,
     const std::vector<double> v = row_values(r, r.row_for(levels[l]));
     ASSERT_EQ(v.size(), golden[l].size());
     for (std::size_t i = 0; i < v.size(); ++i) {
-      EXPECT_EQ(v[i], golden[l][i]) << field_name(i, r.stations());
+      EXPECT_EQ(v[i], golden[l][i])
+          << field_name(i, r.stations(), r.classes());
     }
   }
 }

@@ -307,6 +307,42 @@ TEST_P(RandomNetworks, SingleClassMulticlassSpecMatchesMvasd) {
   }
 }
 
+TEST_P(RandomNetworks, SingleClassSchweitzerMixMatchesSchweitzer) {
+  // One class through schweitzer-multiclass must equal the scalar
+  // single-class Schweitzer kind bit for bit at every level, in both row
+  // kinds: an independent kernel for the multiclass fixed point.  Visits
+  // and servers are 1 (the multiclass demands fold visits in); every third
+  // case zeroes the last station's demand (station 0 keeps a positive one).
+  const RandomCase c = make_case(13000 + GetParam());
+  std::vector<Station> stations = c.network.stations();
+  for (auto& st : stations) {
+    st.servers = 1;
+    st.visits = 1.0;
+  }
+  const ClosedNetwork net(std::move(stations), c.network.think_time());
+  std::vector<double> demands = c.demands;
+  if (GetParam() % 3 == 0 && demands.size() > 1) demands.back() = 0.0;
+  for (const StationRows rows :
+       {StationRows::kAll, StationRows::kUtilization}) {
+    SolveOptions mc_options;
+    mc_options.solver = SolverKind::kSchweitzerMulticlass;
+    mc_options.classes = {
+        {"only", c.max_population, net.think_time(), demands, nullptr}};
+    mc_options.station_rows = rows;
+    finalize_multiclass_options(mc_options);
+    SolveOptions sc_options{SolverKind::kSchweitzer, c.max_population};
+    sc_options.station_rows = rows;
+    const MvaResult mc = solve(net, nullptr, mc_options);
+    const MvaResult sc = solve(net, DemandModel::constant(demands), sc_options);
+    EXPECT_EQ(mc.throughput, sc.throughput);
+    EXPECT_EQ(mc.response_time, sc.response_time);
+    EXPECT_EQ(mc.cycle_time, sc.cycle_time);
+    EXPECT_EQ(mc.station_queue, sc.station_queue);
+    EXPECT_EQ(mc.station_utilization, sc.station_utilization);
+    EXPECT_EQ(mc.station_residence, sc.station_residence);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomNetworks, ::testing::Range(0, 12));
 
 TEST(NetworkAscii, SketchMentionsEveryStation) {
