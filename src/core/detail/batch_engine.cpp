@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/error.hpp"
+#include "core/detail/lane_block.hpp"
 #include "core/detail/multiclass_batch_engine.hpp"
 
 namespace mtperf::core::detail {
@@ -63,29 +64,17 @@ namespace mtperf::core::detail {
 // prologue/epilogue; at 16-lane blocks a runtime trip count spends more
 // cycles on loop setup than on the math.  The two per-level hot functions
 // are cloned per ISA (see MTPERF_ISA_CLONES) so a portable binary still
-// runs 4- or 8-wide on AVX2/AVX-512 hosts.  A one-lane block instantiates
-// the same bodies with the lane count fixed at 1 at compile time: no
-// padding, no lane loops, and the level's rows written straight into the
-// result, since a one-lane window already has the result's row layout.
+// runs 4- or 8-wide on AVX2/AVX-512 hosts; the chunk, the padding rule and
+// the clone attribute are lane_block.hpp's, shared with the multiclass
+// kernel.  A one-lane block instantiates the same bodies with the lane
+// count fixed at 1 at compile time: no padding, no lane loops, and the
+// level's rows written straight into the result, since a one-lane window
+// already has the result's row layout.
 // This file is compiled with -ffp-contract=off (see src/core/CMakeLists.txt):
 // no clone may contract a*b+c into an FMA, because every ISA the
 // dispatcher can pick, and the one-lane instantiation, must round alike.
 
-#if defined(__clang__)
-#define MTPERF_SIMD _Pragma("clang loop vectorize(enable)")
-#elif defined(__GNUC__)
-#define MTPERF_SIMD _Pragma("GCC ivdep")
-#else
-#define MTPERF_SIMD
-#endif
-
 namespace {
-
-/// Lanes per compile-time inner chunk: one AVX-512 vector, two AVX2
-/// vectors, four SSE2 vectors of doubles.  Block lane counts are padded up
-/// to a multiple of this; padded lanes run a harmless all-zero recursion
-/// (zero demands and visits, unit think time) and are never flushed.
-constexpr std::size_t kLaneChunk = 8;
 
 /// Levels of staged output rows flushed to the per-lane results at once.
 /// The recursion writes its per-population rows into a lane-major staging
@@ -127,6 +116,8 @@ struct StationShape {
   std::size_t slots = 0;
 };
 
+/// The first lane's station structure, which every lane of a block shares
+/// (same_station_structure).
 struct GroupStructure {
   std::vector<StationShape> shape;
   std::size_t slots = 0;  ///< total marginal slots
@@ -147,18 +138,6 @@ struct GroupStructure {
       slots += sh.slots;
       max_servers = std::max(max_servers, st.servers);
     }
-  }
-
-  bool matches(const ClosedNetwork& network) const {
-    if (network.size() != shape.size()) return false;
-    for (std::size_t k = 0; k < shape.size(); ++k) {
-      const Station& st = network.station(k);
-      if (st.servers != shape[k].servers ||
-          (st.kind == StationKind::kDelay) != shape[k].delay) {
-        return false;
-      }
-    }
-    return true;
   }
 };
 
@@ -197,26 +176,6 @@ struct LevelView {
   double* xs = nullptr;
   double* wtail = nullptr;
 };
-
-// Per-ISA clones of the two per-level hot functions.  GCC emits one body
-// per listed target and an ifunc resolver that picks the widest one the
-// host supports at load time — the binary stays portable, the hot loops
-// still get ymm/zmm vectors on hosts that have them.  With -ffp-contract
-// off, every clone executes the same IEEE op sequence, so the pick cannot
-// change results.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__ELF__)
-#define MTPERF_ISA_CLONES \
-  __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
-#else
-#define MTPERF_ISA_CLONES
-#endif
-
-#if defined(__GNUC__)
-#define MTPERF_INLINE [[gnu::always_inline]] inline
-#else
-#define MTPERF_INLINE inline
-#endif
 
 /// Residence sweep (Eq. 10/11): stations ascending; each station's branch
 /// is taken once for all lanes.  kFixedLanes is the block's compile-time
@@ -487,9 +446,7 @@ std::vector<MvaResult> solve_block(std::vector<BatchLane>& lanes) {
   // Lane stride: the recursion runs over all Lp lanes with compile-time
   // chunk-wide inner loops; lanes in [L, Lp) are inert padding (zero
   // demands and visits, unit think), never flushed.
-  const std::size_t Lp =
-      kFixedLanes != 0 ? kFixedLanes
-                       : (L + kLaneChunk - 1) / kLaneChunk * kLaneChunk;
+  const std::size_t Lp = padded_lanes<kFixedLanes>(L);
 
   // Validate the group contract and size each lane's result.
   std::vector<MvaResult> results(L);
@@ -500,18 +457,14 @@ std::vector<MvaResult> solve_block(std::vector<BatchLane>& lanes) {
     BatchLane& lane = lanes[l];
     MTPERF_REQUIRE(lane.network != nullptr && lane.demands != nullptr,
                    "batch lane needs a network and a demand model");
-    MTPERF_REQUIRE(st.matches(*lane.network),
+    MTPERF_REQUIRE(same_station_structure(*lanes[0].network, *lane.network),
                    "batch lanes must share station structure");
     MTPERF_REQUIRE(lane.demands->stations() == K,
                    "demand model width must match station count");
     MTPERF_REQUIRE(lane.max_population >= 1, "population must be at least 1");
     n_max = std::max(n_max, lane.max_population);
-    std::vector<std::string> names;
-    names.reserve(K);
-    for (const auto& station : lane.network->stations()) {
-      names.push_back(station.name);
-    }
-    results[l].reset(std::move(names), lane.max_population, lane.rows);
+    results[l].reset(lane.network->station_names(), lane.max_population,
+                     lane.rows);
     any_all_rows = any_all_rows || lane.rows == StationRows::kAll;
     if (lane.trace != nullptr) {
       const std::size_t k = lane.trace->station;
@@ -764,14 +717,7 @@ std::string batch_structure_key(const ClosedNetwork& network,
   std::string key;
   key.reserve(2 + network.size() * 5);
   key.push_back(static_cast<char>(kind));
-  for (const Station& st : network.stations()) {
-    const unsigned s = st.servers;
-    key.push_back(static_cast<char>(s & 0xFF));
-    key.push_back(static_cast<char>((s >> 8) & 0xFF));
-    key.push_back(static_cast<char>((s >> 16) & 0xFF));
-    key.push_back(static_cast<char>((s >> 24) & 0xFF));
-    key.push_back(st.kind == StationKind::kDelay ? 'D' : 'Q');
-  }
+  append_station_key(key, network);
   return key;
 }
 

@@ -341,8 +341,7 @@ MvaResult solve_hierarchical(const ClosedNetwork& network,
   MvaResult result;
   std::vector<std::string> names;
   if (station_detail) {
-    names.reserve(network.size());
-    for (const Station& st : network.stations()) names.push_back(st.name);
+    names = network.station_names();
   } else {
     names.reserve(units.size());
     for (const ReducedUnit& u : units) {

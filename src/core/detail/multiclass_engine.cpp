@@ -12,11 +12,6 @@ namespace mtperf::core::detail {
 
 namespace {
 
-/// Upper bound on the exact recursion's population-vector space (and on
-/// the Q lattice it allocates).  Mixes past this must go through the
-/// moment recursion (still exact) or Schweitzer.
-constexpr std::size_t kMaxExactSpace = std::size_t{1} << 28;
-
 /// Per-level state budget of the moment recursion: C(N + M, M) entries per
 /// ping-pong buffer (N = total population, M = queueing stations).
 constexpr std::size_t kMaxMomLevelStates = std::size_t{1} << 23;
@@ -25,12 +20,7 @@ constexpr std::size_t kMaxMomLevelStates = std::size_t{1} << 23;
 /// runs * C(N + M, M + 1) lattice states.
 constexpr std::size_t kMaxMomWork = std::size_t{1} << 33;
 
-std::vector<std::string> station_names_of(const ClosedNetwork& network) {
-  std::vector<std::string> names;
-  names.reserve(network.size());
-  for (const auto& st : network.stations()) names.push_back(st.name);
-  return names;
-}
+}  // namespace
 
 std::vector<std::string> class_names_of(
     const std::vector<CustomerClass>& classes) {
@@ -47,13 +37,6 @@ std::vector<unsigned> class_populations_of(
   for (const auto& c : classes) pops.push_back(c.population);
   return pops;
 }
-
-}  // namespace
-
-/// Local aliases: the level state and assembly step were hoisted into the
-/// header (the lockstep batch kernel shares them), but the engines below
-/// keep their historical shorthand.
-using LevelState = MulticlassLevelState;
 
 void assemble_multiclass_level(MvaResult& result, std::size_t row,
                                const std::vector<CustomerClass>& classes,
@@ -159,247 +142,6 @@ void validate_multiclass(const ClosedNetwork& network,
     }
   }
   MTPERF_REQUIRE(any_population, "all classes have zero population");
-}
-
-// ---------------------------------------------------------------------------
-// Exact recursion over the population-vector lattice.
-
-namespace {
-
-/// Mixed-radix indexing of population vectors n, 0 <= n_c <= N_c, with the
-/// overflow-checked size guard (populations of ~2^32 per class can wrap
-/// std::size_t; a wrapped total would pass the guard and index the Q
-/// lattice out of bounds).
-class PopulationIndex {
- public:
-  explicit PopulationIndex(const std::vector<CustomerClass>& classes) {
-    stride_.resize(classes.size());
-    std::size_t acc = 1;
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-      stride_[c] = acc;
-      const std::size_t radix =
-          static_cast<std::size_t>(classes[c].population) + 1;
-      MTPERF_REQUIRE(acc <= kMaxExactSpace / radix,
-                     "population-vector space too large for exact "
-                     "multi-class MVA; use mom-multiclass (constant demands) "
-                     "or schweitzer-multiclass");
-      acc *= radix;
-    }
-    total_ = acc;
-  }
-
-  std::size_t total() const noexcept { return total_; }
-  std::size_t stride(std::size_t c) const noexcept { return stride_[c]; }
-
- private:
-  std::vector<std::size_t> stride_;
-  std::size_t total_ = 0;
-};
-
-/// Advance n through the mixed-radix space in lexicographic order such that
-/// every n - e_c precedes n.  Returns false when exhausted.
-bool next_vector(std::vector<unsigned>& n,
-                 const std::vector<CustomerClass>& classes) {
-  for (std::size_t c = 0; c < n.size(); ++c) {
-    if (n[c] < classes[c].population) {
-      ++n[c];
-      return true;
-    }
-    n[c] = 0;
-  }
-  return false;
-}
-
-/// The population-vector lattice of `classes`, refused with the exact
-/// kind's error when it (times k_count queue entries) exceeds the budget.
-PopulationIndex exact_lattice(const std::vector<CustomerClass>& classes,
-                              std::size_t k_count) {
-  PopulationIndex index(classes);
-  MTPERF_REQUIRE(index.total() <= kMaxExactSpace / k_count,
-                 "population-vector space too large for exact multi-class "
-                 "MVA; use mom-multiclass (constant demands) or "
-                 "schweitzer-multiclass");
-  return index;
-}
-
-}  // namespace
-
-void check_exact_multiclass_space(const ClosedNetwork& network,
-                                  const std::vector<CustomerClass>& classes) {
-  exact_lattice(classes, network.size());
-}
-
-MvaResult exact_multiclass_engine(const ClosedNetwork& network,
-                                  const std::vector<CustomerClass>& classes,
-                                  const MulticlassGrid& grid,
-                                  StationRows rows) {
-  const std::size_t k_count = network.size();
-  const std::size_t c_count = classes.size();
-  const std::size_t axis = multiclass_axis_class(classes);
-  const unsigned n_axis = classes[axis].population;
-
-  const PopulationIndex index = exact_lattice(classes, k_count);
-
-  MvaResult result;
-  result.reset(station_names_of(network), n_axis, rows);
-  result.reset_classes(class_names_of(classes), class_populations_of(classes));
-  result.mc_axis = axis;
-
-  // Q[idx * K + k] = total mean queue length at station k for population
-  // vector idx.  Only the total queue is needed by the recursion.
-  std::vector<double> q(index.total() * k_count, 0.0);
-
-  std::vector<unsigned> n(c_count, 0);
-  LevelState state;
-  state.resize(c_count, k_count);
-
-  // The lexicographic sweep varies class 0 fastest, so the axis class (the
-  // last active class) is the slowest digit: vectors with every non-axis
-  // class at full strength appear once per axis value, in increasing
-  // order — each one is a result level.
-  while (next_vector(n, classes)) {
-    std::size_t idx = 0;
-    unsigned total_n = 0;
-    for (std::size_t c = 0; c < c_count; ++c) {
-      idx += n[c] * index.stride(c);
-      total_n += n[c];
-    }
-    for (std::size_t c = 0; c < c_count; ++c) {
-      state.demand_rows[c] = grid.row(c, total_n);
-    }
-    for (std::size_t c = 0; c < c_count; ++c) {
-      if (n[c] == 0) {
-        state.x[c] = 0.0;
-        state.r[c] = 0.0;
-        continue;
-      }
-      // Arrival theorem: class-c customers see the queue of n - e_c.
-      const std::size_t prev = idx - index.stride(c);
-      const double* d_row = state.demand_rows[c];
-      double total_residence = 0.0;
-      for (std::size_t k = 0; k < k_count; ++k) {
-        const double d = d_row[k];
-        const double wait =
-            network.station(k).kind == StationKind::kDelay
-                ? d
-                : d * (1.0 + q[prev * k_count + k]);
-        state.residence[c * k_count + k] = wait;
-        total_residence += wait;
-      }
-      state.r[c] = total_residence;
-      state.x[c] = static_cast<double>(n[c]) /
-                   (classes[c].think_time + total_residence);
-    }
-    for (std::size_t k = 0; k < k_count; ++k) {
-      double total = 0.0;
-      for (std::size_t c = 0; c < c_count; ++c) {
-        if (n[c] > 0) total += state.x[c] * state.residence[c * k_count + k];
-      }
-      q[idx * k_count + k] = total;
-    }
-
-    bool at_level = n[axis] >= 1;
-    for (std::size_t c = 0; c < c_count && at_level; ++c) {
-      if (c != axis && n[c] != classes[c].population) at_level = false;
-    }
-    if (at_level) {
-      std::vector<unsigned> level_pops = n;
-      assemble_multiclass_level(result, n[axis] - 1, classes, level_pops, state);
-    }
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Per-level Schweitzer fixed point.
-
-MvaResult schweitzer_multiclass_engine(
-    const ClosedNetwork& network, const std::vector<CustomerClass>& classes,
-    const SchweitzerOptions& options, const MulticlassGrid& grid,
-    StationRows rows) {
-  MTPERF_REQUIRE(options.tolerance > 0.0, "tolerance must be positive");
-  const std::size_t k_count = network.size();
-  const std::size_t c_count = classes.size();
-  const std::size_t axis = multiclass_axis_class(classes);
-  const unsigned n_axis = classes[axis].population;
-
-  MvaResult result;
-  result.reset(station_names_of(network), n_axis, rows);
-  result.reset_classes(class_names_of(classes), class_populations_of(classes));
-  result.mc_axis = axis;
-
-  std::vector<unsigned> level_pops = class_populations_of(classes);
-  std::vector<std::vector<double>> q(c_count, std::vector<double>(k_count));
-  LevelState state;
-  state.resize(c_count, k_count);
-
-  // Each axis level runs its own cold-started fixed point, so level t is
-  // identical to solving the shallower mix directly — the property the
-  // cache's mix-prefix reuse requires (a warm start from level t-1 would
-  // converge to the same point only approximately).
-  for (unsigned t = 1; t <= n_axis; ++t) {
-    level_pops[axis] = t;
-    unsigned total_n = 0;
-    for (std::size_t c = 0; c < c_count; ++c) total_n += level_pops[c];
-    for (std::size_t c = 0; c < c_count; ++c) {
-      state.demand_rows[c] = grid.row(c, total_n);
-    }
-    // Even-spread start: each class's customers split across the stations.
-    for (std::size_t c = 0; c < c_count; ++c) {
-      for (std::size_t k = 0; k < k_count; ++k) {
-        q[c][k] = static_cast<double>(level_pops[c]) /
-                  static_cast<double>(k_count);
-      }
-    }
-
-    bool converged = false;
-    unsigned iter = 0;
-    for (; iter < options.max_iterations && !converged; ++iter) {
-      converged = true;
-      for (std::size_t c = 0; c < c_count; ++c) {
-        if (level_pops[c] == 0) continue;
-        const double nc = static_cast<double>(level_pops[c]);
-        const double* d_row = state.demand_rows[c];
-        double total_residence = 0.0;
-        for (std::size_t k = 0; k < k_count; ++k) {
-          const double d = d_row[k];
-          if (network.station(k).kind == StationKind::kDelay) {
-            state.residence[c * k_count + k] = d;
-          } else {
-            // Estimated queue seen at arrival: own class discounted by
-            // (n_c - 1)/n_c, other classes in full.
-            double seen = (nc - 1.0) / nc * q[c][k];
-            for (std::size_t d2 = 0; d2 < c_count; ++d2) {
-              if (d2 != c) seen += q[d2][k];
-            }
-            state.residence[c * k_count + k] = d * (1.0 + seen);
-          }
-          total_residence += state.residence[c * k_count + k];
-        }
-        state.r[c] = total_residence;
-        state.x[c] = nc / (classes[c].think_time + total_residence);
-      }
-      for (std::size_t c = 0; c < c_count; ++c) {
-        if (level_pops[c] == 0) continue;
-        for (std::size_t k = 0; k < k_count; ++k) {
-          const double updated = state.x[c] * state.residence[c * k_count + k];
-          if (std::abs(updated - q[c][k]) >= options.tolerance) {
-            converged = false;
-          }
-          q[c][k] = updated;
-        }
-      }
-    }
-    if (!converged) {
-      throw numeric_error(
-          "multi-class Schweitzer MVA did not converge at axis population " +
-          std::to_string(t) + " after " +
-          std::to_string(options.max_iterations) + " iterations");
-    }
-    result.mc_iterations = std::max(result.mc_iterations, iter);
-    assemble_multiclass_level(result, t - 1, classes, level_pops, state);
-  }
-  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -666,13 +408,13 @@ MvaResult mom_multiclass_engine(const ClosedNetwork& network,
   }
 
   MvaResult result;
-  result.reset(station_names_of(network), 1, rows);
+  result.reset(network.station_names(), 1, rows);
   result.reset_classes(class_names_of(classes), class_populations_of(classes));
   // A single-level result at the full mix; report the total population
   // (the engine's exact-hit path never trims single-level results).
   result.population[0] = static_cast<unsigned>(total_pop);
 
-  LevelState state;
+  MulticlassLevelState state;
   state.resize(c_count, k_count);
   for (std::size_t c = 0; c < c_count; ++c) {
     state.demand_rows[c] = demands[c].data();

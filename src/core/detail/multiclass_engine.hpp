@@ -1,12 +1,15 @@
-// Implementation engines behind the multiclass solver kinds of core::solve
-// (types in core/mva_multiclass.hpp): shared validation, the exact
-// population-vector recursion, the per-level Schweitzer fixed point, and the
-// RECAL moment-recursion solver.  All engines emit the unified SoA MvaResult
-// (with its multiclass extension) so the facade, the fingerprint cache,
-// and the serve protocol treat multiclass results like any other.
+// What the multiclass solver kinds of core::solve share (types in
+// core/mva_multiclass.hpp): validation, the per-level state and its row
+// assembly, and the RECAL moment-recursion solver behind mom-multiclass.
+// The two series kinds (exact-multiclass, schweitzer-multiclass) run the
+// lane kernel in multiclass_batch_engine.hpp.  Every engine emits the
+// unified SoA MvaResult (with its multiclass extension) so the facade, the
+// fingerprint cache, and the serve protocol treat multiclass results like
+// any other.
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "core/mva_multiclass.hpp"
@@ -24,11 +27,10 @@ namespace mtperf::core::detail {
 void validate_multiclass(const ClosedNetwork& network,
                          const std::vector<CustomerClass>& classes);
 
-/// Per-level solver state shared by the assembly step: per-class
-/// throughput / response plus the flat C x K residence matrix, and the
-/// demand row each class used at this level (for utilizations).  Shared
-/// between the scalar engines and the lockstep batch kernel so both
-/// assemble result rows through the exact same arithmetic.
+/// Per-level solver state read by the assembly step: per-class throughput
+/// / response plus the flat C x K residence matrix, and the demand row each
+/// class used at this level (for utilizations).  The lane kernel and MoM
+/// both assemble result rows from it, through the same arithmetic.
 struct MulticlassLevelState {
   std::vector<double> x;                   ///< X_c (0 for inactive classes)
   std::vector<double> r;                   ///< R_c
@@ -49,9 +51,9 @@ struct MulticlassLevelState {
 /// When exactly one class is active the aggregates are copied from that
 /// class directly rather than recomputed as weighted means — this is what
 /// makes a single-class multiclass spec bit-identical to the single-class
-/// solvers (their wait/residence/cycle arithmetic is mirrored in the
-/// engines, and a sum with one nonzero term is exact, but a weighted mean
-/// would round x*r/x differently from r).
+/// solvers (their wait/residence/cycle arithmetic is the same, and a sum
+/// with one nonzero term is exact, but a weighted mean would round x*r/x
+/// differently from r).
 ///
 /// Under result.station_rows == kUtilization only the system series, the
 /// class X and R and the utilization row are written.
@@ -60,27 +62,12 @@ void assemble_multiclass_level(MvaResult& result, std::size_t row,
                                const std::vector<unsigned>& level_pops,
                                const MulticlassLevelState& s);
 
-/// Throws exact_multiclass_engine's "too large" error when the mix's
-/// population-vector lattice exceeds its budget.  Cheap; core::solve runs
-/// it before tabulating any demands for the exact kind.
-void check_exact_multiclass_space(const ClosedNetwork& network,
-                                  const std::vector<CustomerClass>& classes);
-
-/// Exact recursion over the population-vector lattice, capturing one
-/// result level per axis-class population (other classes at full
-/// strength).  `grid` must cover the mix's total population.  `rows` picks
-/// the stored station rows, as for every engine here.
-MvaResult exact_multiclass_engine(const ClosedNetwork& network,
-                                  const std::vector<CustomerClass>& classes,
-                                  const MulticlassGrid& grid,
-                                  StationRows rows = StationRows::kAll);
-
-/// One cold-started Schweitzer fixed point per axis level; throws
-/// mtperf::numeric_error naming the level on exhaustion.
-MvaResult schweitzer_multiclass_engine(
-    const ClosedNetwork& network, const std::vector<CustomerClass>& classes,
-    const SchweitzerOptions& options, const MulticlassGrid& grid,
-    StationRows rows = StationRows::kAll);
+/// The class names and populations of a mix, in class order (a
+/// multiclass result's class_names and class_population).
+std::vector<std::string> class_names_of(
+    const std::vector<CustomerClass>& classes);
+std::vector<unsigned> class_populations_of(
+    const std::vector<CustomerClass>& classes);
 
 /// RECAL moment recursion (see DESIGN.md §13): exact, single result level
 /// at the full mix.  Requires constant per-class demands.

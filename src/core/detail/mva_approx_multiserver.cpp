@@ -50,11 +50,8 @@ MvaResult approx_mvasd(const ClosedNetwork& network, const DemandModel& demands,
   MTPERF_REQUIRE(max_population >= 1, "population must be at least 1");
   MTPERF_REQUIRE(options.tolerance > 0.0, "tolerance must be positive");
 
-  std::vector<std::string> names;
-  names.reserve(k_count);
-  for (const auto& st : network.stations()) names.push_back(st.name);
   MvaResult result;
-  result.reset(std::move(names), max_population, rows);
+  result.reset(network.station_names(), max_population, rows);
 
   const DemandGrid grid(demands, max_population);
   const bool by_concurrency = grid.tabulated();

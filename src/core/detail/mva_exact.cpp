@@ -18,11 +18,8 @@ MvaResult exact_mva(const ClosedNetwork& network,
     MTPERF_REQUIRE(s >= 0.0, "service times must be non-negative");
   }
 
-  std::vector<std::string> names;
-  names.reserve(k_count);
-  for (const auto& st : network.stations()) names.push_back(st.name);
   MvaResult result;
-  result.reset(std::move(names), max_population, rows);
+  result.reset(network.station_names(), max_population, rows);
 
   SolverWorkspace& ws = tls_solver_workspace();
   ws.prepare_stations(k_count);

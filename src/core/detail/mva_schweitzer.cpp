@@ -19,11 +19,8 @@ MvaResult schweitzer_mva(const ClosedNetwork& network,
   MTPERF_REQUIRE(max_population >= 1, "population must be at least 1");
   MTPERF_REQUIRE(options.tolerance > 0.0, "tolerance must be positive");
 
-  std::vector<std::string> names;
-  names.reserve(k_count);
-  for (const auto& st : network.stations()) names.push_back(st.name);
   MvaResult result;
-  result.reset(std::move(names), max_population, rows);
+  result.reset(network.station_names(), max_population, rows);
 
   SolverWorkspace& ws = tls_solver_workspace();
   ws.prepare_stations(k_count);

@@ -18,11 +18,8 @@ MvaResult mvasd_single_server(const ClosedNetwork& network,
                  "demand model width must match station count");
   MTPERF_REQUIRE(max_population >= 1, "population must be at least 1");
 
-  std::vector<std::string> names;
-  names.reserve(k_count);
-  for (const auto& st : network.stations()) names.push_back(st.name);
   MvaResult result;
-  result.reset(std::move(names), max_population, rows);
+  result.reset(network.station_names(), max_population, rows);
 
   std::optional<DemandGrid> local_grid;
   if (prebuilt_grid != nullptr) {

@@ -1,10 +1,9 @@
 // Reusable per-thread scratch buffers for the MVA solver family.
 //
 // Every solver iteration needs the same small set of per-station arrays
-// (queues, residence times, current demands, utilizations).  Allocating
-// these per solve — let alone per population level, as the seed did for
-// `util` — dominates the cost of small networks and fragments the heap in
-// scenario sweeps.  The workspace hoists them into one thread_local
+// (queues, residence times, current demands).  Allocating these per solve
+// dominates the cost of small networks and fragments the heap in scenario
+// sweeps.  The workspace hoists them into one thread_local
 // object: buffers grow to the largest network seen on the thread and are
 // then reused allocation-free across solves (each pool worker in a
 // parallel sweep owns its own).
@@ -19,14 +18,12 @@ struct SolverWorkspace {
   std::vector<double> queue;
   std::vector<double> residence;
   std::vector<double> s_now;
-  std::vector<double> util;
 
   /// Size and zero the per-station arrays for a k_count-station network.
   void prepare_stations(std::size_t k_count) {
     queue.assign(k_count, 0.0);
     residence.assign(k_count, 0.0);
     s_now.assign(k_count, 0.0);
-    util.assign(k_count, 0.0);
   }
 };
 

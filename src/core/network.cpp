@@ -24,6 +24,13 @@ std::size_t ClosedNetwork::index_of(const std::string& name) const {
   return static_cast<std::size_t>(std::distance(stations_.begin(), it));
 }
 
+std::vector<std::string> ClosedNetwork::station_names() const {
+  std::vector<std::string> names;
+  names.reserve(stations_.size());
+  for (const Station& st : stations_) names.push_back(st.name);
+  return names;
+}
+
 ClosedNetwork make_network(const std::vector<std::string>& station_names,
                            const std::vector<unsigned>& servers,
                            double think_time) {

@@ -30,6 +30,8 @@ class ClosedNetwork {
   std::size_t size() const noexcept { return stations_.size(); }
   const Station& station(std::size_t k) const { return stations_.at(k); }
   std::size_t index_of(const std::string& name) const;
+  /// The station names in station order (every result's station_names).
+  std::vector<std::string> station_names() const;
 
  private:
   std::vector<Station> stations_;

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -103,33 +102,30 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
         "options.max_population must equal the multiclass axis depth "
         "(use finalize_multiclass_options)");
     const std::vector<CustomerClass>& classes = options.classes;
-    detail::validate_multiclass(network, classes);
     const StationRows rows = options.station_rows;
     if (options.solver == SolverKind::kMomMulticlass) {
+      detail::validate_multiclass(network, classes);
       return detail::mom_multiclass_engine(network, classes, rows);
     }
-    // The series kinds read per-class demand rows up to the mix's total
-    // population: borrow the caller's grid or tabulate one here.  The exact
-    // kind's lattice guard runs first; it refuses every mix whose total
-    // would not fit.
-    if (options.solver == SolverKind::kExactMulticlass) {
-      detail::check_exact_multiclass_space(network, classes);
-    }
-    const unsigned total = multiclass_total_population(classes);
-    std::optional<MulticlassGrid> local_grid;
+    // The series kinds run one lane of the lockstep kernel.  It validates
+    // the mix, runs the exact kind's lattice guard before tabulating
+    // anything, and reads per-class demand rows up to the mix's total
+    // population from the caller's grid or one it tabulates.
+    std::vector<detail::MulticlassBatchLane> lane(1);
+    lane[0].network = &network;
+    lane[0].classes = &classes;
+    lane[0].schweitzer = options.schweitzer;
+    lane[0].rows = rows;
     if (class_grid != nullptr) {
-      MTPERF_REQUIRE(class_grid->max_population() >= total,
+      MTPERF_REQUIRE(class_grid->max_population() >=
+                         multiclass_total_population(classes),
                      "multiclass demand grid shallower than the mix's total "
                      "population");
-    } else {
-      class_grid = &local_grid.emplace(network, classes, total);
+      lane[0].grid = std::shared_ptr<const MulticlassGrid>(
+          std::shared_ptr<const MulticlassGrid>(), class_grid);
     }
-    if (options.solver == SolverKind::kExactMulticlass) {
-      return detail::exact_multiclass_engine(network, classes, *class_grid,
-                                             rows);
-    }
-    return detail::schweitzer_multiclass_engine(
-        network, classes, options.schweitzer, *class_grid, rows);
+    return std::move(
+        detail::solve_multiclass_lane_block(options.solver, lane)[0]);
   }
   MTPERF_REQUIRE(options.classes.empty(),
                  std::string("options.classes requires a multiclass solver "

@@ -173,7 +173,11 @@ void finalize_multiclass_options(SolveOptions& options);
 ///
 /// Multiclass kinds read options.classes instead of `demands` (which may
 /// be null for them) and take their deepen-reuse hook via `class_grid` — a
-/// MulticlassGrid tabulated to >= the mix's total population.
+/// MulticlassGrid tabulated to >= the mix's total population ("multiclass
+/// demand grid shallower than the mix's total population" otherwise).
+/// kExactMulticlass and kSchweitzerMulticlass run the multiclass lane
+/// kernel's one-lane path, the same recursions solve_batch runs in wider
+/// blocks.
 MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
                 const SolveOptions& options, const DemandGrid* grid = nullptr,
                 const MulticlassGrid* class_grid = nullptr);

@@ -26,6 +26,7 @@
 #include "core/demand_model.hpp"
 #include "core/detail/batch_engine.hpp"
 #include "core/detail/hierarchy_engine.hpp"
+#include "core/detail/multiclass_batch_engine.hpp"
 #include "core/detail/multiclass_engine.hpp"
 #include "core/detail/mva_approx_multiserver.hpp"
 #include "core/detail/mva_exact.hpp"
@@ -979,13 +980,20 @@ TEST(SolveDispatch, EveryKindReachesItsKernel) {
   const auto mc_net = make_network({"cpu", "disk"}, {1, 1}, 1.0);
   const std::vector<CustomerClass> classes{{"a", 4, 1.0, {0.05, 0.15}},
                                            {"b", 6, 0.5, {0.02, 0.01}}};
-  const MulticlassGrid grid(mc_net, classes,
-                            multiclass_total_population(classes));
 
   SolveOptions tuned{SolverKind::kMvasd, kN};
   tuned.schweitzer = {1e-4, 500};
   tuned.approx = {1e-4, 800};
   tuned.hierarchy.tiers = {{"front", {0, 1}}};
+
+  // The multiclass series kinds' kernel: one lane of the lockstep block.
+  const auto mc_lane = [&](SolverKind kind) {
+    std::vector<detail::MulticlassBatchLane> lane(1);
+    lane[0].network = &mc_net;
+    lane[0].classes = &classes;
+    lane[0].schweitzer = tuned.schweitzer;
+    return std::move(detail::solve_multiclass_lane_block(kind, lane)[0]);
+  };
 
   struct Row {
     SolverKind kind;
@@ -1011,14 +1019,11 @@ TEST(SolveDispatch, EveryKindReachesItsKernel) {
       {SolverKind::kSeidmannSchweitzer,
        [&] { return seidmann_schweitzer_mva(net, s, kN, tuned.schweitzer); }},
       {SolverKind::kExactMulticlass,
-       [&] { return detail::exact_multiclass_engine(mc_net, classes, grid); }},
+       [&] { return mc_lane(SolverKind::kExactMulticlass); }},
       {SolverKind::kMomMulticlass,
        [&] { return detail::mom_multiclass_engine(mc_net, classes); }},
       {SolverKind::kSchweitzerMulticlass,
-       [&] {
-         return detail::schweitzer_multiclass_engine(mc_net, classes,
-                                                     tuned.schweitzer, grid);
-       }},
+       [&] { return mc_lane(SolverKind::kSchweitzerMulticlass); }},
       {SolverKind::kHierarchical,
        [&] {
          SolveOptions hierarchical = tuned;
