@@ -4,14 +4,16 @@
 // The fleet is the class-aware version of micro_batch's dashboard fan-out:
 // a three-class JPetStore-ish mix (browse / search / buy) over a four-
 // station network, swept across demand perturbations, think-time variants,
-// and ragged axis depths.  The baseline solves it the pre-batching way,
-// one pool task per scenario through core::solve; the contender is
+// and ragged axis depths.  The baseline solves it one pool task per
+// scenario through core::solve, which runs each scenario as a one-lane
+// block (the kernel's width-1 instantiation); the contender is
 // core::solve_batch, which groups class-compatible scenarios and runs the
-// per-level Schweitzer fixed point in lockstep over lane-major state.
-// Both sides use the same pool and no cache, so the ratio isolates the
-// multiclass batch kernel itself.  Writes bench_out/BENCH_batch_multiclass
-// .json; exits non-zero if batched and scalar results disagree beyond
-// 1e-12 or the cold-batch speedup falls below the 2x acceptance gate.
+// per-level Schweitzer fixed point in wide lockstep blocks over lane-major
+// state.  Both sides run the same recursion on the same pool with no
+// cache, so the ratio isolates what lockstep lanes buy over one lane at a
+// time.  Writes bench_out/BENCH_batch_multiclass.json; exits non-zero if
+// batched and per-scenario results disagree beyond 1e-12 or the cold-batch
+// speedup falls below the 2x acceptance gate.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -134,8 +136,8 @@ int main() {
   const auto fleet = make_fleet(kMaxAxisUsers);
   ThreadPool pool;
 
-  // Baseline: one pool task per spec, each running the scalar per-level
-  // Schweitzer fixed point through the solve facade.
+  // Baseline: one pool task per spec, each running the per-level
+  // Schweitzer fixed point as a one-lane block through the solve facade.
   std::vector<core::MvaResult> scalar(fleet.size());
   const double per_task_ms = min_over_reps(kReps, [&] {
     parallel_for(pool, fleet.size(), [&](std::size_t i) {

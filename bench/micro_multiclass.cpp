@@ -1,4 +1,6 @@
-// Method-of-Moments multiclass solver vs the seed exact recursion.
+// Method-of-Moments multiclass solver vs the exact population-vector
+// recursion (exact-multiclass, run by core::solve as a one-lane block of
+// the multiclass lane kernel).
 //
 // Part 1 — growing mixes: three customer classes over a cpu+disk pair,
 // per-class population doubling from 8 to 128.  The exact recursion
@@ -7,7 +9,7 @@
 // RECAL moment recursion whose state count depends only on the number of
 // queueing stations.  Both are exact, so every feasible mix doubles as a
 // parity check (rel. 1e-9).  The 512-per-class row is beyond the lattice
-// guard (2 * 513^3 > 2^28): the seed solver must refuse while MoM answers.
+// guard (2 * 513^3 > 2^28): the exact kind must refuse while MoM answers.
 //
 // Part 1b — wider networks: the same parity check and timings on mixes
 // over four and six queueing stations, where the moment lattice has more
