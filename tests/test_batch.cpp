@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -440,9 +441,9 @@ ScenarioSpec mixed_model_spec(std::string label, double scale,
   return spec;
 }
 
-/// Batched multiclass results must be bit-identical to the scalar facade
-/// (kParityTol is the acceptance ceiling; the lockstep kernel mirrors the
-/// scalar engines operation-for-operation, so equality is exact).
+/// Batched multiclass results must be bit-identical to core::solve's: it
+/// runs the same kernel as a one-lane block, and a lane's bits do not
+/// depend on the block it runs in.
 void expect_mc_parity(const MvaResult& got, const MvaResult& want) {
   ASSERT_EQ(got.levels(), want.levels());
   ASSERT_EQ(got.stations(), want.stations());
@@ -556,9 +557,37 @@ TEST(McBatchParity, ExactRaggedLanes) {
 }
 
 TEST(McBatchParity, SingleLaneBatches) {
-  expect_mc_batch_matches_scalar({mix_spec("solo-schw", 1.0, 8)});
-  expect_mc_batch_matches_scalar(
-      {mix_spec("solo-exact", 1.0, 5, SolverKind::kExactMulticlass)});
+  // A one-lane block is what core::solve runs, so a one-lane batch is
+  // checked against kernels of its own: a one-class mix equals the
+  // single-class schweitzer kind (Schweitzer) and mvasd (exact) bit for
+  // bit at every level.
+  const ClosedNetwork net({Station{"cpu", 1.0, 1, StationKind::kQueueing},
+                           Station{"disk", 1.0, 1, StationKind::kQueueing},
+                           Station{"net", 1.0, 1, StationKind::kQueueing},
+                           Station{"gateway", 1.0, 1, StationKind::kDelay}},
+                          0.5);
+  const std::vector<double> demands{0.007, 0.031, 0.005, 0.400};
+  const DemandModel model = DemandModel::constant(demands);
+  const std::pair<SolverKind, SolverKind> kinds[] = {
+      {SolverKind::kSchweitzerMulticlass, SolverKind::kSchweitzer},
+      {SolverKind::kExactMulticlass, SolverKind::kMvasd}};
+  for (const auto& [mc_kind, single_kind] : kinds) {
+    ScenarioSpec spec;
+    spec.label = "solo";
+    spec.network = net;
+    spec.options.solver = mc_kind;
+    spec.options.classes = {{"only", 12, net.think_time(), demands}};
+    core::finalize_multiclass_options(spec.options);
+    const MvaResult batched = core::solve_batch({spec})[0];
+    const MvaResult single = core::solve(net, &model, {single_kind, 12});
+    SCOPED_TRACE(core::solver_kind_name(mc_kind));
+    EXPECT_EQ(batched.throughput, single.throughput);
+    EXPECT_EQ(batched.response_time, single.response_time);
+    EXPECT_EQ(batched.cycle_time, single.cycle_time);
+    EXPECT_EQ(batched.station_queue, single.station_queue);
+    EXPECT_EQ(batched.station_residence, single.station_residence);
+    EXPECT_EQ(batched.station_utilization, single.station_utilization);
+  }
 }
 
 TEST(McBatchParity, MixedConstantAndSplineClassModels) {
