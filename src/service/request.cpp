@@ -20,10 +20,8 @@ core::ClosedNetwork parse_network(const Json& request) {
   for (const Json& js : request.at("stations").as_array()) {
     core::Station st;
     st.name = js.at("name").as_string();
-    const double servers = js.number_or("servers", 1.0);
-    MTPERF_REQUIRE(servers >= 1.0 && servers <= 1e6,
-                   "station servers out of range");
-    st.servers = static_cast<unsigned>(servers);
+    st.servers = request_count(js.number_or("servers", 1.0), 1, 1'000'000,
+                               "station servers");
     st.visits = js.number_or("visits", 1.0);
     MTPERF_REQUIRE(std::isfinite(st.visits) && st.visits >= 0.0,
                    "station visits must be finite and non-negative");
@@ -96,10 +94,9 @@ std::vector<core::CustomerClass> parse_classes(const Json& list,
     core::CustomerClass cls;
     cls.name = jc.at("name").as_string();
     MTPERF_REQUIRE(!cls.name.empty(), "customer class names must be non-empty");
-    const double population = jc.at("population").as_number();
-    MTPERF_REQUIRE(population >= 0.0 && population <= kMaxRequestPopulation,
-                   "class '" + cls.name + "' population out of range");
-    cls.population = static_cast<unsigned>(population);
+    cls.population = request_count(jc.at("population").as_number(), 0,
+                                   kMaxRequestPopulation,
+                                   "class '" + cls.name + "' population");
     cls.think_time = jc.number_or("think", 0.0);
     MTPERF_REQUIRE(
         std::isfinite(cls.think_time) && cls.think_time >= 0.0,
@@ -169,15 +166,21 @@ core::ScenarioSpec parse_scenario(const Json& request) {
       parse_demands(request.at("demands"), network.size());
   options.solver =
       core::parse_solver_kind(request.string_or("solver", "mvasd"));
-  const double population = request.at("max_population").as_number();
-  MTPERF_REQUIRE(population >= 1.0 && population <= kMaxRequestPopulation,
-                 "max_population out of range");
-  options.max_population = static_cast<unsigned>(population);
+  options.max_population =
+      request_count(request.at("max_population").as_number(), 1,
+                    kMaxRequestPopulation, "max_population");
   return core::ScenarioSpec{request.string_or("label", ""),
                             std::move(network), std::move(demands), options};
 }
 
 }  // namespace
+
+unsigned request_count(double value, unsigned lo, unsigned hi,
+                       const std::string& field) {
+  MTPERF_REQUIRE(value >= lo && value <= hi, field + " out of range");
+  MTPERF_REQUIRE(value == std::floor(value), field + " must be a whole number");
+  return static_cast<unsigned>(value);
+}
 
 Json recover_request_id(std::string_view line) {
   try {

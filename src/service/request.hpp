@@ -66,6 +66,12 @@ struct ParsedRequest {
 /// hostile line committing the server to an absurd solve.
 inline constexpr unsigned kMaxRequestPopulation = 1'000'000;
 
+/// A count read from a request (servers, replicas, populations): `value`
+/// in [lo, hi] and whole (40.0 and 1e3 are).  Throws mtperf::Error with
+/// "<field> out of range" or "<field> must be a whole number".
+unsigned request_count(double value, unsigned lo, unsigned hi,
+                       const std::string& field);
+
 /// Parse one request line.  Throws mtperf::Error (with a stable "mtperf: "
 /// prefix) on malformed JSON, schema violations, unknown solvers, or
 /// out-of-range populations; the caller answers with append_error and

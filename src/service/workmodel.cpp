@@ -43,14 +43,11 @@ graph::Service parse_service(const std::string& name, const Json& spec) {
   graph::Service service;
   service.name = name;
   parse_demand(spec.at("demand"), service);
-  const double servers = spec.number_or("servers", 1.0);
-  MTPERF_REQUIRE(servers >= 1.0 && servers <= 1e6,
-                 "service '" + name + "': servers out of range");
-  service.servers = static_cast<unsigned>(servers);
-  const double replicas = spec.number_or("replicas", 1.0);
-  MTPERF_REQUIRE(replicas >= 1.0 && replicas <= 1e6,
-                 "service '" + name + "': replicas out of range");
-  service.replicas = static_cast<unsigned>(replicas);
+  service.servers = request_count(spec.number_or("servers", 1.0), 1,
+                                  1'000'000, "service '" + name + "': servers");
+  service.replicas =
+      request_count(spec.number_or("replicas", 1.0), 1, 1'000'000,
+                    "service '" + name + "': replicas");
   const std::string balancer =
       spec.string_or("balancer", "least-connections");
   MTPERF_REQUIRE(balancer == "least-connections" || balancer == "round-robin",
@@ -112,10 +109,9 @@ core::ScenarioSpec workmodel_scenario(const Json& request) {
       graph::ClassTraffic t;
       t.name = jc.at("name").as_string();
       MTPERF_REQUIRE(!t.name.empty(), "customer class names must be non-empty");
-      const double population = jc.at("population").as_number();
-      MTPERF_REQUIRE(population >= 0.0 && population <= kMaxRequestPopulation,
-                     "class '" + t.name + "' population out of range");
-      t.population = static_cast<unsigned>(population);
+      t.population = request_count(jc.at("population").as_number(), 0,
+                                   kMaxRequestPopulation,
+                                   "class '" + t.name + "' population");
       t.think_time = jc.number_or("think", request.number_or("think", 0.0));
       MTPERF_REQUIRE(std::isfinite(t.think_time) && t.think_time >= 0.0,
                      "class '" + t.name +
@@ -138,10 +134,9 @@ core::ScenarioSpec workmodel_scenario(const Json& request) {
   core::SolveOptions options;
   options.solver =
       core::parse_solver_kind(request.string_or("solver", "mvasd"));
-  const double population = request.at("max_population").as_number();
-  MTPERF_REQUIRE(population >= 1.0 && population <= kMaxRequestPopulation,
-                 "max_population out of range");
-  options.max_population = static_cast<unsigned>(population);
+  options.max_population =
+      request_count(request.at("max_population").as_number(), 1,
+                    kMaxRequestPopulation, "max_population");
   if (request.contains("hierarchy")) {
     MTPERF_REQUIRE(options.solver == core::SolverKind::kHierarchical,
                    "'hierarchy' options require \"solver\": \"hierarchical\"");
@@ -151,10 +146,9 @@ core::ScenarioSpec workmodel_scenario(const Json& request) {
     MTPERF_REQUIRE(std::isfinite(hier.saturation_tolerance) &&
                        hier.saturation_tolerance >= 0.0,
                    "hierarchy tolerance must be finite and non-negative");
-    const double depth = jh.number_or("initial_depth", 32.0);
-    MTPERF_REQUIRE(depth >= 1.0 && depth <= kMaxRequestPopulation,
-                   "hierarchy initial_depth out of range");
-    hier.initial_depth = static_cast<unsigned>(depth);
+    hier.initial_depth =
+        request_count(jh.number_or("initial_depth", 32.0), 1,
+                      kMaxRequestPopulation, "hierarchy initial_depth");
     const std::string detail = jh.string_or("detail", "stations");
     MTPERF_REQUIRE(detail == "stations" || detail == "tiers",
                    "hierarchy detail must be 'stations' or 'tiers'");

@@ -604,6 +604,34 @@ TEST(Workmodel, ErrorsAreReadable) {
   EXPECT_THROW(parse(R"({"cmd":"workmodel","entry":"a","services":{
       "a":{"demand":0.1}}})"),
                invalid_argument_error);  // missing max_population
+  // Counts are whole numbers: a fractional one is refused by name, never
+  // truncated.
+  const auto message = [&](const std::string& text) {
+    try {
+      (void)parse(text.c_str());
+    } catch (const invalid_argument_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string one_service =
+      R"({"cmd":"workmodel","entry":"a","services":{"a":{"demand":0.1)";
+  EXPECT_NE(message(one_service + R"(,"servers":2.5}},"max_population":10})")
+                .find("service 'a': servers must be a whole number"),
+            std::string::npos);
+  EXPECT_NE(message(one_service + R"(,"replicas":2.5}},"max_population":10})")
+                .find("service 'a': replicas must be a whole number"),
+            std::string::npos);
+  EXPECT_NE(message(one_service + R"(}},"max_population":2.5})")
+                .find("max_population must be a whole number"),
+            std::string::npos);
+  EXPECT_NE(message(one_service + R"(}},"solver":"exact-multiclass",
+      "classes":[{"name":"c","population":2.5}]})")
+                .find("class 'c' population must be a whole number"),
+            std::string::npos);
+  EXPECT_EQ(message(one_service + R"(,"servers":2.0,"replicas":1e0}},
+      "max_population":3e1})"),
+            "");
 }
 
 TEST(Workmodel, ParseRequestRoutesWorkmodelCommand) {

@@ -486,6 +486,16 @@ TEST(Workmodel, HierarchyOptionsAreValidated) {
   EXPECT_THROW(parse(base + R"(,"solver":"hierarchical",
                               "hierarchy":{"initial_depth":0}})"),
                invalid_argument_error);
+  try {
+    (void)parse(base + R"(,"solver":"hierarchical",
+                          "hierarchy":{"initial_depth":2.5}})");
+    FAIL() << "fractional initial_depth accepted";
+  } catch (const invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "hierarchy initial_depth must be a whole number"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --- golden bits -----------------------------------------------------------

@@ -200,11 +200,45 @@ TEST(RequestParsing, SchemaViolationsThrow) {
       "{\"stations\":[{\"name\":\"a\"}],"
       "\"demands\":{\"type\":\"constant\",\"values\":[0.1]},"
       "\"solver\":\"quantum\",\"max_population\":10}",
+      // fractional servers
+      "{\"stations\":[{\"name\":\"a\",\"servers\":2.5}],"
+      "\"demands\":{\"type\":\"constant\",\"values\":[0.1]},"
+      "\"max_population\":10}",
+      // fractional population
+      "{\"stations\":[{\"name\":\"a\"}],"
+      "\"demands\":{\"type\":\"constant\",\"values\":[0.1]},"
+      "\"max_population\":40.7}",
   };
   for (const char* line : bad) {
     EXPECT_THROW(service::parse_request(line), std::exception)
         << "line: " << line;
   }
+  // A fractional count is refused by name, not truncated; a whole number
+  // written as 2.0 or 1e3 still parses.
+  const auto message = [](const std::string& servers,
+                          const std::string& population) {
+    try {
+      (void)service::parse_request(
+          "{\"stations\":[{\"name\":\"a\",\"servers\":" + servers +
+          "}],\"demands\":{\"type\":\"constant\",\"values\":[0.1]},"
+          "\"max_population\":" +
+          population + "}");
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(message("2.5", "10").find("station servers must be a whole number"),
+            std::string::npos);
+  EXPECT_NE(message("2", "2.5").find("max_population must be a whole number"),
+            std::string::npos);
+  EXPECT_EQ(message("2.0", "1e3"), "");
+  const auto parsed = service::parse_request(
+      "{\"stations\":[{\"name\":\"a\",\"servers\":2.0}],"
+      "\"demands\":{\"type\":\"constant\",\"values\":[0.1]},"
+      "\"max_population\":1e3}");
+  EXPECT_EQ(parsed.spec.network.station(0).servers, 2u);
+  EXPECT_EQ(parsed.spec.options.max_population, 1000u);
 }
 
 TEST(RequestParsing, IdRecoveryFromBrokenRequests) {
@@ -276,10 +310,26 @@ TEST(RequestParsing, HostileClassesInputsThrow) {
       "\"classes\":[{\"name\":\"a\",\"population\":5,"
       "\"demands\":{\"type\":\"spline\",\"axis\":\"concurrency\","
       "\"x\":[1,10],\"y\":[[0.1,0.1]]}}]}",
+      // fractional population
+      "{\"stations\":[{\"name\":\"cpu\"},{\"name\":\"disk\"}],"
+      "\"classes\":[{\"name\":\"a\",\"population\":3.5,"
+      "\"demands\":[0.1,0.2]}]}",
   };
   for (const char* line : bad) {
     EXPECT_THROW(service::parse_request(line), std::exception)
         << "line: " << line;
+  }
+  try {
+    (void)service::parse_request(
+        "{\"stations\":[{\"name\":\"cpu\"},{\"name\":\"disk\"}],"
+        "\"classes\":[{\"name\":\"a\",\"population\":2.5,"
+        "\"demands\":[0.1,0.2]}]}");
+    FAIL() << "fractional class population accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "class 'a' population must be a whole number"),
+              std::string::npos)
+        << e.what();
   }
 }
 
