@@ -102,10 +102,6 @@ DemandModel scale_demand_model(const DemandModel& model, double factor) {
 // ----------------------------------------------------------------- DemandGrid
 
 DemandGrid::DemandGrid(const DemandModel& model, unsigned max_population)
-    : DemandGrid(model, max_population, nullptr) {}
-
-DemandGrid::DemandGrid(const DemandModel& model, unsigned max_population,
-                       const DemandGrid* shallower)
     : model_(&model),
       stations_(model.stations()),
       max_population_(max_population),
@@ -126,27 +122,13 @@ DemandGrid::DemandGrid(const DemandModel& model, unsigned max_population,
     return;
   }
   grid_.resize(static_cast<std::size_t>(max_population) * stations_);
-  unsigned first = 1;
   double* out = grid_.data();
-  if (shallower != nullptr && shallower->tabulated_ &&
-      !shallower->model_->is_constant()) {
-    // Deepening: already-tabulated rows are bit-identical to what a fresh
-    // fill would produce (same model content, same cursor walk), so a copy
-    // replaces min(N', N) rows of spline evaluation.
-    MTPERF_REQUIRE(shallower->stations_ == stations_,
-                   "demand grid deepening requires matching station counts");
-    const unsigned reuse = std::min(shallower->max_population_, max_population);
-    const std::size_t reused = static_cast<std::size_t>(reuse) * stations_;
-    std::copy(shallower->grid_.data(), shallower->grid_.data() + reused, out);
-    first = reuse + 1;
-    out += reused;
-  }
   // Row-major fill, one monotone cursor per station: n = 1..N is
   // non-decreasing so segment lookup never searches — O(N K + segments)
   // total — and each cache line of the buffer is written exactly once
   // (a column-order fill would touch every line stations() times).
   std::vector<std::size_t> cursor(stations_, 0);
-  for (unsigned n = first; n <= max_population; ++n, out += stations_) {
+  for (unsigned n = 1; n <= max_population; ++n, out += stations_) {
     for (std::size_t k = 0; k < stations_; ++k) {
       out[k] = cubics_[k] != nullptr
                    ? std::max(0.0, cubics_[k]->value_with_cursor(

@@ -113,29 +113,10 @@ class DemandGrid {
  public:
   DemandGrid(const DemandModel& model, unsigned max_population);
 
-  /// Deepening constructor: tabulate `model` to `max_population`, reusing
-  /// the rows a shallower grid already evaluated (a row copy instead of a
-  /// spline evaluation per entry).  `shallower` may be null (plain build),
-  /// must have been built from a model with identical content (the caller
-  /// guarantees this — the scenario engine keys grids by fingerprint), and
-  /// is only consulted for tabulated non-constant models.  This is the
-  /// engine's deepen-in-place path: a cache entry solved to N' answers a
-  /// deeper request at N by re-running the recursion but re-tabulating only
-  /// rows N'+1..N.
-  DemandGrid(const DemandModel& model, unsigned max_population,
-             const DemandGrid* shallower);
-
-  std::size_t stations() const noexcept { return stations_; }
-  unsigned max_population() const noexcept { return max_population_; }
-  DemandModel::Axis axis() const noexcept { return model_->axis(); }
-
   /// True when row() is available (concurrency-axis or constant models).
   bool tabulated() const noexcept { return tabulated_; }
 
-  /// Bytes of the tabulated rows.
-  std::size_t bytes() const noexcept { return grid_.size() * sizeof(double); }
-
-  /// The stations() demands at population n (1-based), as one contiguous
+  /// Every station's demand at population n (1-based), as one contiguous
   /// row of the tabulated buffer.  Requires tabulated().
   const double* row(unsigned n) const;
 

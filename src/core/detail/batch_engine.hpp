@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,12 +70,6 @@ struct BatchLane {
   const ClosedNetwork* network = nullptr;
   const DemandModel* demands = nullptr;
   unsigned max_population = 1;
-  /// In: optional pre-tabulated grid for `demands` (may be shallower than
-  /// max_population — its rows are reused and only the missing tail is
-  /// tabulated).  Out: the tabulated grid the kernel solved with, borrowing
-  /// `demands`; left untouched for throughput-axis lanes.  The scenario
-  /// engine caches these for deepen-reuse.
-  std::shared_ptr<const DemandGrid> grid;
   /// The station rows this lane's result carries; lanes of one block may
   /// differ.
   StationRows rows = StationRows::kAll;
@@ -121,6 +114,6 @@ BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs);
 /// place).  Callers chunk large groups into kBatchLaneBlock-sized blocks
 /// (see plan_batch) and run blocks in parallel; the kernel itself is
 /// single-threaded.
-std::vector<MvaResult> solve_lane_block(std::vector<BatchLane>& lanes);
+std::vector<MvaResult> solve_lane_block(const std::vector<BatchLane>& lanes);
 
 }  // namespace mtperf::core::detail

@@ -72,9 +72,10 @@ HierarchyPlan plan_hierarchy(const ClosedNetwork& network,
 
 /// Evaluation hook for subnetwork profile extraction.  The scenario engine
 /// routes these specs through its fingerprint cache (FES profile
-/// memoization + deepen-in-place); a null evaluator falls back to direct
-/// core::solve calls.  Must return a result with at least
-/// spec.options.max_population levels.
+/// memoization; a doubled profile depth re-solves and replaces the
+/// shallower entry); a null evaluator falls back to direct core::solve
+/// calls.  Must return a result with at least spec.options.max_population
+/// levels.
 using SubnetworkEvaluator =
     std::function<std::shared_ptr<const MvaResult>(const ScenarioSpec&)>;
 

@@ -605,16 +605,17 @@ McBlockLayout validate_block(SolverKind kind,
   return layout;
 }
 
-/// Ensure lane.grid is tabulated to the lane's own total population
-/// (deepening a leased shallower grid in place, like the single-class
-/// kernel does with DemandGrid).
-void ensure_lane_grid(MulticlassBatchLane& lane, std::size_t k_count,
-                      std::size_t c_count, unsigned total) {
-  if (lane.grid == nullptr || lane.grid->max_population() < total ||
-      lane.grid->stations() != k_count || lane.grid->classes() != c_count) {
-    lane.grid = std::make_shared<MulticlassGrid>(*lane.network, *lane.classes,
-                                                 total, lane.grid.get());
+/// One MulticlassGrid per lane, tabulated to the lane's own total
+/// population; the block owns them for its length.
+std::vector<MulticlassGrid> tabulate_lane_grids(
+    const McBlockLayout& layout,
+    const std::vector<MulticlassBatchLane>& lanes) {
+  std::vector<MulticlassGrid> grids;
+  grids.reserve(lanes.size());
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    grids.emplace_back(*lanes[l].network, *lanes[l].classes, layout.total[l]);
   }
+  return grids;
 }
 
 /// Padded live-lane prefix of a wide block at axis level `t`: every lane
@@ -647,7 +648,7 @@ void gather_lane_state(const McSchweitzerView& v, std::size_t slot,
 
 template <std::size_t kFixedLanes>
 std::vector<MvaResult> solve_schweitzer_block(
-    const McBlockLayout& layout, std::vector<MulticlassBatchLane>& lanes,
+    const McBlockLayout& layout, const std::vector<MulticlassBatchLane>& lanes,
     std::vector<MvaResult>& results) {
   constexpr bool kOneLane = kFixedLanes == 1;
   const std::size_t K = layout.k_count;
@@ -656,10 +657,7 @@ std::vector<MvaResult> solve_schweitzer_block(
   const std::size_t Lp = padded_lanes<kFixedLanes>(L);
   const std::size_t axis = layout.axis;
   const double k_double = static_cast<double>(K);
-
-  for (std::size_t l = 0; l < L; ++l) {
-    ensure_lane_grid(lanes[l], K, C, layout.total[l]);
-  }
+  const std::vector<MulticlassGrid> grids = tabulate_lane_grids(layout, lanes);
 
   // Inactive classes never compute (their queues stay exact zeros, their
   // x/r stay zero); the key guarantees the pattern is uniform across
@@ -789,7 +787,7 @@ std::vector<MvaResult> solve_schweitzer_block(
         disc[c * Lp + s] = is_axis ? axis_disc : lane_disc[at];
         const double spread = is_axis ? axis_spread : lane_spread[at];
         for (std::size_t k = 0; k < K; ++k) q[(c * K + k) * Lp + s] = spread;
-        const double* row = lanes[l].grid->row(c, total_n);
+        const double* row = grids[l].row(c, total_n);
         if constexpr (kOneLane) {
           d_rows[c] = row;
         } else {
@@ -817,7 +815,7 @@ std::vector<MvaResult> solve_schweitzer_block(
       if constexpr (!kOneLane) gather_lane_state(view, s, scratch);
       const unsigned total_n = layout.total[l] - layout.depth[l] + t;
       for (std::size_t c = 0; c < C; ++c) {
-        scratch.demand_rows[c] = lanes[l].grid->row(c, total_n);
+        scratch.demand_rows[c] = grids[l].row(c, total_n);
         level_pops[c] = c == axis ? t : ipop[c * L + l];
       }
       assemble_multiclass_level(results[l], t - 1, *lanes[l].classes,
@@ -829,7 +827,7 @@ std::vector<MvaResult> solve_schweitzer_block(
 
 template <std::size_t kFixedLanes>
 std::vector<MvaResult> solve_exact_block(
-    const McBlockLayout& layout, std::vector<MulticlassBatchLane>& lanes,
+    const McBlockLayout& layout, const std::vector<MulticlassBatchLane>& lanes,
     std::vector<MvaResult>& results) {
   constexpr bool kOneLane = kFixedLanes == 1;
   const std::size_t K = layout.k_count;
@@ -851,9 +849,7 @@ std::vector<MvaResult> solve_exact_block(
     states *= static_cast<std::size_t>(radix_pop[c]) + 1;
   }
 
-  for (std::size_t l = 0; l < L; ++l) {
-    ensure_lane_grid(lanes[l], K, C, layout.total[l]);
-  }
+  const std::vector<MulticlassGrid> grids = tabulate_lane_grids(layout, lanes);
 
   // A wide block transposes its demand rows lane-major per total
   // population up front (a fresh gather per lattice vector would double
@@ -875,7 +871,7 @@ std::vector<MvaResult> solve_exact_block(
       think[c * Lp + l] = classes[c].think_time;
       for (unsigned n = 1; n <= group_total_max; ++n) {
         const double* row =
-            lanes[l].grid->row(c, std::min<unsigned>(n, layout.total[l]));
+            grids[l].row(c, std::min<unsigned>(n, layout.total[l]));
         double* slot = dt.data() +
                        (static_cast<std::size_t>(n - 1) * C + c) * K * Lp;
         for (std::size_t k = 0; k < K; ++k) {
@@ -901,8 +897,8 @@ std::vector<MvaResult> solve_exact_block(
   std::vector<const double*> row_base(wide == 0 ? C : 0);
   std::vector<std::size_t> row_step(wide == 0 ? C : 0);
   for (std::size_t c = 0; c < row_base.size(); ++c) {
-    row_base[c] = lanes[0].grid->row(c, 1);
-    row_step[c] = lanes[0].grid->row_stride(c);
+    row_base[c] = grids[0].row(c, 1);
+    row_step[c] = grids[0].row_stride(c);
   }
 
   McExactView view;
@@ -978,7 +974,7 @@ std::vector<MvaResult> solve_exact_block(
             scratch.residence[c * K + k] = res[(c * K + k) * Lp + l];
           }
         }
-        scratch.demand_rows[c] = lanes[l].grid->row(c, total_n);
+        scratch.demand_rows[c] = grids[l].row(c, total_n);
         level_pops[c] = n[c];
       }
       // Classes idle in the whole mix never compute: their x and r are 0.
@@ -1039,7 +1035,7 @@ std::string multiclass_batch_key(const ScenarioSpec& spec) {
 }
 
 std::vector<MvaResult> solve_multiclass_lane_block(
-    SolverKind kind, std::vector<MulticlassBatchLane>& lanes) {
+    SolverKind kind, const std::vector<MulticlassBatchLane>& lanes) {
   MTPERF_REQUIRE(!lanes.empty(), "batched solve needs at least one lane");
   std::vector<MvaResult> results(lanes.size());
   const McBlockLayout layout = validate_block(kind, lanes, results);

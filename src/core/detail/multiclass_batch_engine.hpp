@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,13 +53,6 @@ struct MulticlassBatchLane {
   /// Fixed-point controls for the Schweitzer kind (per-lane: tolerance and
   /// iteration budget are data, not structure).  Ignored by the exact kind.
   SchweitzerOptions schweitzer{};
-  /// In: optional pre-tabulated per-class grid for `classes` (may be
-  /// shallower than the mix's total population — its rows are reused and
-  /// only the missing tail is tabulated).  Out: the grid the kernel solved
-  /// with, tabulated to the lane's own total population.  The scenario
-  /// engine caches these for deepen-reuse, exactly like BatchLane::grid;
-  /// core::solve lends its caller's grid through a non-owning pointer.
-  std::shared_ptr<const MulticlassGrid> grid;
   /// The station rows this lane's result carries; lanes of one block may
   /// differ.
   StationRows rows = StationRows::kAll;
@@ -105,6 +97,6 @@ std::string multiclass_batch_key(const ScenarioSpec& spec);
 /// lane that exhausts its iterations throws numeric_error naming the axis
 /// level.
 std::vector<MvaResult> solve_multiclass_lane_block(
-    SolverKind kind, std::vector<MulticlassBatchLane>& lanes);
+    SolverKind kind, const std::vector<MulticlassBatchLane>& lanes);
 
 }  // namespace mtperf::core::detail

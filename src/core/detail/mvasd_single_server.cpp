@@ -1,7 +1,6 @@
 #include "core/detail/mvasd_single_server.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/error.hpp"
 #include "core/detail/solver_workspace.hpp"
@@ -11,7 +10,6 @@ namespace mtperf::core::detail {
 MvaResult mvasd_single_server(const ClosedNetwork& network,
                               const DemandModel& demands,
                               unsigned max_population,
-                              const DemandGrid* prebuilt_grid,
                               StationRows rows) {
   const std::size_t k_count = network.size();
   MTPERF_REQUIRE(demands.stations() == k_count,
@@ -21,17 +19,7 @@ MvaResult mvasd_single_server(const ClosedNetwork& network,
   MvaResult result;
   result.reset(network.station_names(), max_population, rows);
 
-  std::optional<DemandGrid> local_grid;
-  if (prebuilt_grid != nullptr) {
-    MTPERF_REQUIRE(prebuilt_grid->tabulated() &&
-                       prebuilt_grid->stations() == k_count &&
-                       prebuilt_grid->max_population() >= max_population,
-                   "prebuilt demand grid does not cover this solve");
-  } else {
-    local_grid.emplace(demands, max_population);
-  }
-  const DemandGrid& grid =
-      prebuilt_grid != nullptr ? *prebuilt_grid : *local_grid;
+  const DemandGrid grid(demands, max_population);
   const bool by_concurrency = grid.tabulated();
 
   SolverWorkspace& ws = tls_solver_workspace();

@@ -13,16 +13,12 @@
 namespace mtperf::core::detail {
 
 /// Varying demands, but every C_k-server station replaced by a single
-/// server with demand SS_k^n / C_k (the classic heuristic).  `grid`
-/// optionally supplies an already-tabulated DemandGrid for `demands` (same
-/// content, tabulated to >= max_population) — the scenario engine's
-/// deepen-reuse hook.
+/// server with demand SS_k^n / C_k (the classic heuristic).
 /// `rows` picks the stored station rows (StationRows::kUtilization skips
 /// the queue and residence rows).
 MvaResult mvasd_single_server(const ClosedNetwork& network,
                               const DemandModel& demands,
                               unsigned max_population,
-                              const DemandGrid* grid = nullptr,
                               StationRows rows = StationRows::kAll);
 
 }  // namespace mtperf::core::detail

@@ -12,32 +12,24 @@ namespace mtperf::core {
 
 MulticlassGrid::MulticlassGrid(const ClosedNetwork& network,
                                const std::vector<CustomerClass>& classes,
-                               unsigned max_total_population,
-                               const MulticlassGrid* shallower)
-    : stations_(network.size()), max_population_(max_total_population) {
+                               unsigned max_total_population) {
   MTPERF_REQUIRE(max_total_population >= 1, "population must be at least 1");
+  const std::size_t stations = network.size();
   models_.reserve(classes.size());
   grids_.reserve(classes.size());
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const CustomerClass& cls = classes[c];
     std::shared_ptr<const DemandModel> model = cls.demand_model;
     if (model == nullptr) {
-      MTPERF_REQUIRE(cls.demands.size() == stations_,
+      MTPERF_REQUIRE(cls.demands.size() == stations,
                      "class '" + cls.name + "': one demand per station required");
       model = std::make_shared<const DemandModel>(
           DemandModel::constant(cls.demands));
     } else {
-      MTPERF_REQUIRE(model->stations() == stations_,
+      MTPERF_REQUIRE(model->stations() == stations,
                      "class '" + cls.name + "': one demand per station required");
-      varying_ = varying_ || !model->is_constant();
     }
-    // Deepen per class: a shallower grid's class-c rows were tabulated
-    // from a model with identical content (the scenario engine keys grids
-    // by structural fingerprint), so reuse is bit-identical.
-    const DemandGrid* prev = shallower != nullptr && c < shallower->classes()
-                                 ? &shallower->grids_[c]
-                                 : nullptr;
-    grids_.emplace_back(*model, max_total_population, prev);
+    grids_.emplace_back(*model, max_total_population);
     models_.push_back(std::move(model));
   }
 }

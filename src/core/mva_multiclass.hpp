@@ -26,8 +26,8 @@
 // paper's core idea, extended classwise): each class carries either a
 // constant demand vector or a DemandModel whose concurrency axis is the
 // total customer count in the network.  MulticlassGrid pre-tabulates all
-// classes' models for a solve, with the same deepen-reuse hook the
-// single-class DemandGrid gives the scenario engine.
+// classes' models for a solve, as the single-class DemandGrid does for one
+// model.
 //
 // Stations are single-server queueing or delay stations (the standard
 // product-form multi-class setting); multi-core resources can be handled
@@ -60,20 +60,13 @@ struct CustomerClass {
 
 /// Pre-tabulated per-class demand rows for one multiclass solve: one
 /// DemandGrid per class, each indexed by the mix's *total* population
-/// 1..max_population().  Owns copies of the class demand models (grids
-/// borrow their model), so a cache entry can hold it self-contained.
-/// The deepening constructor reuses a shallower grid's rows per class —
-/// the scenario engine's deepen-in-place hook for multiclass structures.
+/// 1..max_total_population.  Holds the class demand models its grids
+/// borrow: a constant class's demand vector becomes a constant model here.
 class MulticlassGrid {
  public:
   MulticlassGrid(const ClosedNetwork& network,
                  const std::vector<CustomerClass>& classes,
-                 unsigned max_total_population,
-                 const MulticlassGrid* shallower = nullptr);
-
-  std::size_t classes() const noexcept { return grids_.size(); }
-  std::size_t stations() const noexcept { return stations_; }
-  unsigned max_population() const noexcept { return max_population_; }
+                 unsigned max_total_population);
 
   /// Demands of class c at total population n (1-based), as one contiguous
   /// row.  Constant classes share a single row (stride 0), so the same
@@ -89,20 +82,7 @@ class MulticlassGrid {
     return grids_[c].row_stride();
   }
 
-  /// True when any class's demands actually vary with concurrency.
-  bool varying() const noexcept { return varying_; }
-
-  /// Bytes of the tabulated rows of every class.
-  std::size_t bytes() const noexcept {
-    std::size_t total = 0;
-    for (const DemandGrid& g : grids_) total += g.bytes();
-    return total;
-  }
-
  private:
-  std::size_t stations_;
-  unsigned max_population_;
-  bool varying_ = false;
   std::vector<std::shared_ptr<const DemandModel>> models_;
   std::vector<DemandGrid> grids_;
 };

@@ -1,7 +1,6 @@
 #include "core/solve.hpp"
 
 #include <cstddef>
-#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -91,8 +90,7 @@ void finalize_multiclass_options(SolveOptions& options) {
 }
 
 MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
-                const SolveOptions& options, const DemandGrid* grid,
-                const MulticlassGrid* class_grid) {
+                const SolveOptions& options) {
   if (is_multiclass(options.solver)) {
     MTPERF_REQUIRE(!options.classes.empty(),
                    "multiclass solver kinds need options.classes");
@@ -109,21 +107,13 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
     }
     // The series kinds run one lane of the lockstep kernel.  It validates
     // the mix, runs the exact kind's lattice guard before tabulating
-    // anything, and reads per-class demand rows up to the mix's total
-    // population from the caller's grid or one it tabulates.
+    // anything, and tabulates per-class demand rows up to the mix's total
+    // population.
     std::vector<detail::MulticlassBatchLane> lane(1);
     lane[0].network = &network;
     lane[0].classes = &classes;
     lane[0].schweitzer = options.schweitzer;
     lane[0].rows = rows;
-    if (class_grid != nullptr) {
-      MTPERF_REQUIRE(class_grid->max_population() >=
-                         multiclass_total_population(classes),
-                     "multiclass demand grid shallower than the mix's total "
-                     "population");
-      lane[0].grid = std::shared_ptr<const MulticlassGrid>(
-          std::shared_ptr<const MulticlassGrid>(), class_grid);
-    }
     return std::move(
         detail::solve_multiclass_lane_block(options.solver, lane)[0]);
   }
@@ -151,25 +141,16 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
     case SolverKind::kMvasd: {
       // Algorithm 3; with a constant model this is exactly Algorithm 2
       // (the same recursion over one demand row).  One lane of the lockstep
-      // kernel, borrowing the caller's grid when there is one.
+      // kernel.
       std::vector<detail::BatchLane> lane(1);
       lane[0].network = &network;
       lane[0].demands = demands;
       lane[0].max_population = n;
       lane[0].rows = rows;
-      if (grid != nullptr) {
-        MTPERF_REQUIRE(grid->tabulated(),
-                       "prebuilt demand grids must be tabulated");
-        MTPERF_REQUIRE(grid->stations() == network.size() &&
-                           grid->max_population() >= n,
-                       "prebuilt demand grid does not cover this solve");
-        lane[0].grid = std::shared_ptr<const DemandGrid>(
-            std::shared_ptr<const DemandGrid>(), grid);
-      }
       return std::move(detail::solve_lane_block(lane)[0]);
     }
     case SolverKind::kMvasdSingleServer:
-      return detail::mvasd_single_server(network, *demands, n, grid, rows);
+      return detail::mvasd_single_server(network, *demands, n, rows);
     case SolverKind::kSeidmann:
       return detail::seidmann_mva(
           network, constant_demands(*demands, options.solver), n, rows);

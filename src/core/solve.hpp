@@ -163,31 +163,17 @@ void finalize_multiclass_options(SolveOptions& options);
 /// wider blocks.
 /// All validation failures throw mtperf::invalid_argument_error.
 ///
-/// `grid` optionally supplies an already-tabulated DemandGrid for `demands`
-/// (tabulated to >= options.max_population).  Only the grid-driven kinds
-/// (kMvasd, kMvasdSingleServer) use it; other solvers ignore it.  This is
-/// the scenario engine's deepen-reuse hook.  kMvasd refuses an untabulated
-/// grid ("prebuilt demand grids must be tabulated") and one with the wrong
-/// width or too few rows ("prebuilt demand grid does not cover this
-/// solve").
-///
 /// Multiclass kinds read options.classes instead of `demands` (which may
-/// be null for them) and take their deepen-reuse hook via `class_grid` — a
-/// MulticlassGrid tabulated to >= the mix's total population ("multiclass
-/// demand grid shallower than the mix's total population" otherwise).
-/// kExactMulticlass and kSchweitzerMulticlass run the multiclass lane
-/// kernel's one-lane path, the same recursions solve_batch runs in wider
-/// blocks.
+/// be null for them).  kExactMulticlass and kSchweitzerMulticlass run the
+/// multiclass lane kernel's one-lane path, the same recursions solve_batch
+/// runs in wider blocks.
 MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
-                const SolveOptions& options, const DemandGrid* grid = nullptr,
-                const MulticlassGrid* class_grid = nullptr);
+                const SolveOptions& options);
 
 /// Reference convenience overload.
 inline MvaResult solve(const ClosedNetwork& network, const DemandModel& demands,
-                       const SolveOptions& options,
-                       const DemandGrid* grid = nullptr,
-                       const MulticlassGrid* class_grid = nullptr) {
-  return solve(network, &demands, options, grid, class_grid);
+                       const SolveOptions& options) {
+  return solve(network, &demands, options);
 }
 
 /// Solve many scenarios at once, batching structure-compatible specs (same

@@ -26,62 +26,9 @@ namespace {
 struct CacheEntry {
   Fingerprint key;
   std::shared_ptr<const core::MvaResult> result;
-  /// Deepen-reuse state: the tabulated grid of the deepest solve plus the
-  /// DemandModel copy it borrows.  Null unless the structure is
-  /// grid-cacheable (see grid_cacheable below).
-  std::shared_ptr<const core::DemandModel> demands;
-  std::shared_ptr<const core::DemandGrid> grid;
-  /// Multiclass analogue: per-class tabulated rows of the deepest mix.
-  /// Null unless the structure is class_grid_cacheable.
-  std::shared_ptr<const core::MulticlassGrid> class_grid;
-  /// Buffer bytes this entry pins (entry_bytes), counted in cache_bytes_.
+  /// result->bytes(), counted in cache_bytes_.
   std::size_t bytes = 0;
 };
-
-std::size_t entry_bytes(const CacheEntry& e) {
-  return e.result->bytes() + (e.grid ? e.grid->bytes() : 0) +
-         (e.class_grid ? e.class_grid->bytes() : 0);
-}
-
-/// True when caching a tabulated DemandGrid alongside the result pays off:
-/// the solver actually reads grids, the demands vary (a constant model's
-/// grid is one row — rebuilding it is free), and the axis is concurrency
-/// (throughput-axis models cannot be pre-tabulated).
-bool grid_cacheable(const core::ScenarioSpec& spec) {
-  switch (spec.options.solver) {
-    case core::SolverKind::kMvasd:
-    case core::SolverKind::kMvasdSingleServer:
-      break;
-    default:
-      return false;
-  }
-  return !spec.demands.is_constant() &&
-         spec.demands.axis() == core::DemandModel::Axis::kConcurrency;
-}
-
-/// Multiclass counterpart of grid_cacheable: true when a MulticlassGrid is
-/// worth caching alongside the result — a series solver that reads grids
-/// (MoM requires constant demands and never does) and at least one class
-/// whose demands actually vary.  Throughput-axis class models are left for
-/// solve() to reject with its own error.
-bool class_grid_cacheable(const core::ScenarioSpec& spec) {
-  switch (spec.options.solver) {
-    case core::SolverKind::kExactMulticlass:
-    case core::SolverKind::kSchweitzerMulticlass:
-      break;
-    default:
-      return false;
-  }
-  bool varying = false;
-  for (const auto& cls : spec.options.classes) {
-    if (cls.demand_model == nullptr) continue;
-    if (cls.demand_model->axis() != core::DemandModel::Axis::kConcurrency) {
-      return false;
-    }
-    varying = varying || !cls.demand_model->is_constant();
-  }
-  return varying;
-}
 
 }  // namespace
 
@@ -194,7 +141,7 @@ Evaluation Engine::await_flight(const core::ScenarioSpec& spec,
     // solving here keeps this request's outcome independent of another
     // request's context (and exercises the normal error path).
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return solve_miss(spec, fp, {});
+    return solve_miss(spec, fp);
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   coalesced_.fetch_add(1, std::memory_order_relaxed);
@@ -227,30 +174,19 @@ Evaluation Engine::serve_hit(const std::string& label,
 }
 
 std::shared_ptr<const core::MvaResult> Engine::lookup(const Fingerprint& fp,
-                                                      unsigned want,
-                                                      GridLease* lease) {
+                                                      unsigned want) {
   Shard& shard = shard_for(fp);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(fp);
   if (it == shard.index.end()) return nullptr;
-  if (lease != nullptr) {
-    lease->demands = it->second->demands;
-    lease->grid = it->second->grid;
-    lease->class_grid = it->second->class_grid;
-  }
-  if (it->second->result->levels() < want) {
-    // Shallower entry: left in place (the deep solve replaces it), but its
-    // grid rides out through the lease so the re-solve only tabulates the
-    // missing population tail.
-    return nullptr;
-  }
+  // A shallower entry stays in place: the deep solve replaces it.
+  if (it->second->result->levels() < want) return nullptr;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return it->second->result;
 }
 
 void Engine::store(const Fingerprint& fp,
-                   std::shared_ptr<const core::MvaResult> result,
-                   GridLease lease) {
+                   std::shared_ptr<const core::MvaResult> result) {
   Shard& shard = shard_for(fp);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(fp);
@@ -259,22 +195,16 @@ void Engine::store(const Fingerprint& fp,
     // concurrent deeper solve may have landed first.
     CacheEntry& entry = *it->second;
     if (entry.result->levels() < result->levels()) {
-      entry.result = std::move(result);
-      entry.demands = std::move(lease.demands);
-      entry.grid = std::move(lease.grid);
-      entry.class_grid = std::move(lease.class_grid);
       cache_bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
-      entry.bytes = entry_bytes(entry);
+      entry.bytes = result->bytes();
+      entry.result = std::move(result);
       cache_bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   } else {
-    shard.lru.push_front(CacheEntry{fp, std::move(result),
-                                    std::move(lease.demands),
-                                    std::move(lease.grid),
-                                    std::move(lease.class_grid)});
-    shard.lru.front().bytes = entry_bytes(shard.lru.front());
-    cache_bytes_.fetch_add(shard.lru.front().bytes, std::memory_order_relaxed);
+    const std::size_t bytes = result->bytes();
+    shard.lru.push_front(CacheEntry{fp, std::move(result), bytes});
+    cache_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     shard.index.emplace(fp, shard.lru.begin());
     if (shard.lru.size() > per_shard_capacity_) {
       cache_bytes_.fetch_sub(shard.lru.back().bytes,
@@ -289,40 +219,7 @@ void Engine::store(const Fingerprint& fp,
 }
 
 Evaluation Engine::solve_miss(const core::ScenarioSpec& spec,
-                              const Fingerprint& fp, GridLease lease) {
-  const unsigned want = spec.options.max_population;
-  const core::DemandGrid* grid_ptr = nullptr;
-  const core::MulticlassGrid* class_grid_ptr = nullptr;
-  if (grid_cacheable(spec)) {
-    // The cached grid borrows the cached model, so the entry must own a
-    // DemandModel copy; reuse the leased one when a shallower entry
-    // already holds it (their contents match — same fingerprint).
-    if (lease.demands == nullptr) {
-      lease.demands = std::make_shared<const core::DemandModel>(spec.demands);
-    }
-    if (lease.grid == nullptr || lease.grid->max_population() < want) {
-      lease.grid = std::make_shared<const core::DemandGrid>(
-          *lease.demands, want, lease.grid.get());
-    }
-    grid_ptr = lease.grid.get();
-  } else if (class_grid_cacheable(spec)) {
-    // MulticlassGrid owns its model copies, so no separate demands lease;
-    // a shallower-mix entry's grid (same structure, smaller axis depth)
-    // seeds the deepen so only the new total-population tail tabulates.
-    const unsigned total =
-        core::multiclass_total_population(spec.options.classes);
-    if (lease.class_grid == nullptr ||
-        lease.class_grid->max_population() < total) {
-      lease.class_grid = std::make_shared<const core::MulticlassGrid>(
-          spec.network, spec.options.classes, total, lease.class_grid.get());
-    }
-    class_grid_ptr = lease.class_grid.get();
-    lease.demands = nullptr;
-    lease.grid = nullptr;
-  } else {
-    lease = GridLease{};
-  }
-
+                              const Fingerprint& fp) {
   const auto start = std::chrono::steady_clock::now();
   std::shared_ptr<const core::MvaResult> solved;
   if (spec.options.solver == core::SolverKind::kHierarchical) {
@@ -344,14 +241,14 @@ Evaluation Engine::solve_miss(const core::ScenarioSpec& spec,
         core::detail::solve_hierarchical(spec.network, &spec.demands,
                                          spec.options, sub));
   } else {
-    solved = std::make_shared<const core::MvaResult>(core::solve(
-        spec.network, &spec.demands, spec.options, grid_ptr, class_grid_ptr));
+    solved = std::make_shared<const core::MvaResult>(
+        core::solve(spec.network, &spec.demands, spec.options));
   }
   const auto stop = std::chrono::steady_clock::now();
   const double ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
   record_solve_ms(ms);
-  store(fp, solved, std::move(lease));
+  store(fp, solved);
   return Evaluation{spec.label, std::move(solved), false, false, ms};
 }
 
@@ -361,8 +258,7 @@ Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
   MTPERF_REQUIRE(want >= 1, "population must be at least 1");
   requests_.fetch_add(1, std::memory_order_relaxed);
 
-  GridLease lease;
-  if (auto cached = lookup(fp, want, &lease)) {
+  if (auto cached = lookup(fp, want)) {
     return serve_hit(spec.label, std::move(cached), want);
   }
 
@@ -373,13 +269,13 @@ Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
     case FlightRole::kLeader: {
       // A previous leader may have stored its result and retired its
       // flight since the probe above.
-      if (auto cached = lookup(fp, want, &lease)) {
+      if (auto cached = lookup(fp, want)) {
         finish_flight(fp, flight, cached);
         return serve_hit(spec.label, std::move(cached), want);
       }
       misses_.fetch_add(1, std::memory_order_relaxed);
       try {
-        Evaluation ev = solve_miss(spec, fp, std::move(lease));
+        Evaluation ev = solve_miss(spec, fp);
         finish_flight(fp, flight, ev.result);
         return ev;
       } catch (...) {
@@ -391,7 +287,7 @@ Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
       break;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  return solve_miss(spec, fp, std::move(lease));
+  return solve_miss(spec, fp);
 }
 
 std::future<Evaluation> Engine::submit(core::ScenarioSpec spec) {
@@ -423,7 +319,6 @@ std::vector<Evaluation> Engine::evaluate_batch(
   struct Rep {
     std::size_t spec_index = 0;
     Fingerprint fp;
-    GridLease lease;
     Evaluation eval;
     /// Leader reps publish here after solving; follower reps await it.
     std::shared_ptr<Flight> flight;
@@ -439,7 +334,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
     fps[i] = fingerprint(specs[i]);
     const auto [it, inserted] = rep_index.try_emplace(fps[i], reps.size());
     if (inserted) {
-      reps.push_back(Rep{i, fps[i], {}, {}, nullptr, false});
+      reps.push_back(Rep{i, fps[i], {}, nullptr, false});
     } else if (specs[i].options.max_population >
                specs[reps[it->second].spec_index].options.max_population) {
       reps[it->second].spec_index = i;
@@ -458,7 +353,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
     Rep& rep = reps[r];
     const core::ScenarioSpec& spec = specs[rep.spec_index];
     const unsigned want = spec.options.max_population;
-    if (auto cached = lookup(rep.fp, want, &rep.lease)) {
+    if (auto cached = lookup(rep.fp, want)) {
       rep.eval = serve_hit(spec.label, std::move(cached), want);
       continue;
     }
@@ -469,7 +364,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
         break;
       case FlightRole::kLeader:
         // Probe again, as evaluate() does.
-        if (auto cached = lookup(rep.fp, want, &rep.lease)) {
+        if (auto cached = lookup(rep.fp, want)) {
           finish_flight(rep.fp, rep.flight, cached);
           rep.flight = nullptr;
           rep.eval = serve_hit(spec.label, std::move(cached), want);
@@ -496,23 +391,11 @@ std::vector<Evaluation> Engine::evaluate_batch(
   const auto run_block = [&](const std::vector<std::size_t>& block) {
     std::vector<core::detail::BatchLane> lanes(block.size());
     for (std::size_t l = 0; l < block.size(); ++l) {
-      Rep& rep = reps[miss_reps[block[l]]];
-      const core::ScenarioSpec& spec = specs[rep.spec_index];
+      const core::ScenarioSpec& spec = *miss_specs[block[l]];
       lanes[l].network = &spec.network;
+      lanes[l].demands = &spec.demands;
       lanes[l].max_population = spec.options.max_population;
       lanes[l].rows = spec.options.station_rows;
-      if (grid_cacheable(spec)) {
-        // The kernel's out-grid is cached, so it must borrow a model the
-        // cache entry owns — never the caller's spec.
-        if (rep.lease.demands == nullptr) {
-          rep.lease.demands =
-              std::make_shared<const core::DemandModel>(spec.demands);
-        }
-        lanes[l].demands = rep.lease.demands.get();
-        lanes[l].grid = rep.lease.grid;
-      } else {
-        lanes[l].demands = &spec.demands;
-      }
     }
     const auto start = std::chrono::steady_clock::now();
     std::vector<core::MvaResult> results =
@@ -528,12 +411,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
       record_solve_ms(ms_per_lane);
       auto solved =
           std::make_shared<const core::MvaResult>(std::move(results[l]));
-      GridLease lease;
-      if (grid_cacheable(spec)) {
-        rep.lease.grid = lanes[l].grid;
-        lease = rep.lease;
-      }
-      store(rep.fp, solved, std::move(lease));
+      store(rep.fp, solved);
       rep.eval = Evaluation{spec.label, std::move(solved), false, false,
                             ms_per_lane};
     }
@@ -541,21 +419,13 @@ std::vector<Evaluation> Engine::evaluate_batch(
   const auto run_mc_block = [&](const std::vector<std::size_t>& block) {
     std::vector<core::detail::MulticlassBatchLane> lanes(block.size());
     for (std::size_t l = 0; l < block.size(); ++l) {
-      Rep& rep = reps[miss_reps[block[l]]];
-      const core::ScenarioSpec& spec = specs[rep.spec_index];
+      const core::ScenarioSpec& spec = *miss_specs[block[l]];
       lanes[l].network = &spec.network;
       lanes[l].classes = &spec.options.classes;
       lanes[l].schweitzer = spec.options.schweitzer;
       lanes[l].rows = spec.options.station_rows;
-      if (class_grid_cacheable(spec)) {
-        // Seed the kernel with the leased grid (a shallower-mix entry's
-        // rows deepen in place); MulticlassGrid owns its model copies, so
-        // there is no demands lease to thread through.
-        lanes[l].grid = rep.lease.class_grid;
-      }
     }
-    const core::SolverKind kind =
-        specs[reps[miss_reps[block[0]]].spec_index].options.solver;
+    const core::SolverKind kind = miss_specs[block[0]]->options.solver;
     const auto start = std::chrono::steady_clock::now();
     std::vector<core::MvaResult> results =
         core::detail::solve_multiclass_lane_block(kind, lanes);
@@ -570,14 +440,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
       record_solve_ms(ms_per_lane);
       auto solved =
           std::make_shared<const core::MvaResult>(std::move(results[l]));
-      GridLease lease;
-      if (class_grid_cacheable(spec)) {
-        rep.lease.class_grid = lanes[l].grid;
-        rep.lease.demands = nullptr;
-        rep.lease.grid = nullptr;
-        lease = rep.lease;
-      }
-      store(rep.fp, solved, std::move(lease));
+      store(rep.fp, solved);
       rep.eval = Evaluation{spec.label, std::move(solved), false, false,
                             ms_per_lane};
     }
@@ -597,7 +460,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
       if (spec.options.solver != core::SolverKind::kHierarchical) {
         batch_scalar_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       }
-      rep.eval = solve_miss(spec, rep.fp, std::move(rep.lease));
+      rep.eval = solve_miss(spec, rep.fp);
     }
   };
   // Solve, then settle every registered flight exactly once: leaders whose

@@ -16,10 +16,9 @@
 //                      and the result is cached, deepening any existing
 //                      shallower entry for the same structure.
 //
-// Cache entries additionally hold the tabulated DemandGrid of the solve
-// (plus the DemandModel copy it borrows), so a deepen-in-place re-solve of
-// a varying-demand structure re-tabulates only the new population tail
-// instead of re-evaluating every spline row.
+// A cache entry holds its result and nothing else: a deeper re-solve of a
+// varying-demand structure tabulates its demands from scratch, like any
+// other miss.
 //
 // evaluate_batch dedupes specs with identical fingerprints (one solve per
 // structure, duplicates filled by sharing or trimming), groups the
@@ -102,8 +101,8 @@ struct EngineMetrics {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::size_t entries = 0;      ///< currently cached results
-  /// Buffer bytes the cached entries pin: their results (MvaResult::bytes)
-  /// plus their cached demand-grid rows.
+  /// Buffer bytes the cached entries pin: the sum of their results'
+  /// MvaResult::bytes.
   std::size_t cache_bytes = 0;
   std::size_t queue_depth = 0;  ///< scenarios submitted but not finished
   double hit_rate = 0.0;        ///< hits / requests (0 when idle)
@@ -194,18 +193,6 @@ class Engine final : public core::ScenarioEvaluator {
     kIndependent,  ///< wants deeper than the in-flight solve; solves alone
   };
 
-  /// The tabulated demand state attached to a cache entry: the grid of the
-  /// deepest solve and the DemandModel copy it borrows (grids hold a raw
-  /// pointer to their model, so the entry must own both).  Empty for
-  /// structures whose solver never reads a grid, constant demands, and
-  /// throughput-axis models.  Multiclass structures with a varying class
-  /// carry a MulticlassGrid instead (it owns its model copies itself).
-  struct GridLease {
-    std::shared_ptr<const core::DemandModel> demands;
-    std::shared_ptr<const core::DemandGrid> grid;
-    std::shared_ptr<const core::MulticlassGrid> class_grid;
-  };
-
   Shard& shard_for(const Fingerprint& fp) const noexcept;
   void record_solve_ms(double ms);
   void record_batch_block(std::size_t lanes);
@@ -240,22 +227,18 @@ class Engine final : public core::ScenarioEvaluator {
                        unsigned want);
 
   /// Cache probe: the cached result when it covers `want` levels (LRU
-  /// bumped), else null.  `lease` receives the entry's cached grid state
-  /// either way — a shallower entry's grid seeds the deepen re-tabulation.
+  /// bumped), else null.
   std::shared_ptr<const core::MvaResult> lookup(const Fingerprint& fp,
-                                                unsigned want,
-                                                GridLease* lease);
+                                                unsigned want);
 
   /// Run the solver for one spec (no cache probe; counters untouched except
-  /// the latency sample), reusing/deepening the leased grid when the spec
-  /// is grid-cacheable, and store the result.
-  Evaluation solve_miss(const core::ScenarioSpec& spec, const Fingerprint& fp,
-                        GridLease lease);
+  /// the latency sample) and store the result.
+  Evaluation solve_miss(const core::ScenarioSpec& spec, const Fingerprint& fp);
 
   /// Insert the solved result, deepening (never shrinking) any existing
-  /// entry for `fp`; the lease rides along with whichever result wins.
+  /// entry for `fp`.
   void store(const Fingerprint& fp,
-             std::shared_ptr<const core::MvaResult> result, GridLease lease);
+             std::shared_ptr<const core::MvaResult> result);
 
   EngineOptions options_;
   std::size_t per_shard_capacity_;

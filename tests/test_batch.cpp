@@ -353,13 +353,12 @@ TEST(EngineBatch, MixedHitsAndMissesKeepOrderAndParity) {
   }
 }
 
-TEST(EngineBatch, DeepenedResolveReusesCachedGridAndStaysExact) {
+TEST(EngineBatch, DeepenedResolveStaysExact) {
   service::Engine engine;
   const auto shallow = engine.evaluate(vins_spec("shallow", 1.0, 80));
   EXPECT_FALSE(shallow.cache_hit);
-  // Deeper request, same structure: re-solves (prefix can't answer it) but
-  // reuses the cached tabulation for rows 1..80, so the numbers must still
-  // match a from-scratch scalar solve exactly.
+  // Deeper request, same structure: re-solves (prefix can't answer it), and
+  // the numbers must match a from-scratch scalar solve exactly.
   const auto deep = engine.evaluate(vins_spec("deep", 1.0, 320));
   EXPECT_FALSE(deep.cache_hit);
   const ScenarioSpec reference = vins_spec("ref", 1.0, 320);
@@ -371,10 +370,11 @@ TEST(EngineBatch, DeepenedResolveReusesCachedGridAndStaysExact) {
   EXPECT_TRUE(engine.evaluate(vins_spec("again80", 1.0, 80)).cache_hit);
 }
 
-TEST(EngineBatch, BatchedDeepenReusesCachedGrid) {
+TEST(EngineBatch, BatchedDeepenMatchesDirectSolve) {
   service::Engine engine;
   (void)engine.evaluate_batch({vins_spec("seed", 1.0, 60)});
-  // The batched miss path leases the cached grid and deepens it in place.
+  // A deeper request for a cached structure re-solves on the batched miss
+  // path.
   const auto evals = engine.evaluate_batch({vins_spec("deeper", 1.0, 240),
                                             jpetstore_spec("jps", 1.0, 90)});
   for (const auto& ev : evals) EXPECT_FALSE(ev.cache_hit);
@@ -676,11 +676,11 @@ TEST(McEngineBatch, LanesAndScalarFallbacksAreCounted) {
   EXPECT_EQ(metrics.misses, specs.size());
 }
 
-TEST(McEngineBatch, CachedClassGridDeepensThroughTheBatchPath) {
+TEST(McEngineBatch, VaryingClassDeepensThroughTheBatchPath) {
   service::Engine engine;
   // Seed a varying-class structure shallow, then batch it deeper: the
-  // lockstep kernel must lease the cached MulticlassGrid, deepen it in
-  // place, and still match a from-scratch scalar solve bit-for-bit.
+  // lockstep kernel re-solves it and must match a from-scratch scalar solve
+  // bit-for-bit.
   (void)engine.evaluate_batch({mixed_model_spec("seed", 1.0, 4)});
   const auto before = engine.metrics();
   const auto evals =
@@ -700,20 +700,6 @@ TEST(McEngineBatch, CachedClassGridDeepensThroughTheBatchPath) {
   // The deepened entry answers both depths from cache now.
   EXPECT_TRUE(engine.evaluate(mixed_model_spec("hit", 1.0, 12)).cache_hit);
   EXPECT_TRUE(engine.evaluate(mixed_model_spec("hit4", 1.0, 4)).cache_hit);
-}
-
-TEST(DemandGrid, DeepeningConstructorMatchesFreshTabulation) {
-  const DemandModel model = vins_spline_demands(1.0);
-  const core::DemandGrid shallow(model, 50);
-  const core::DemandGrid deepened(model, 200, &shallow);
-  const core::DemandGrid fresh(model, 200);
-  ASSERT_TRUE(deepened.tabulated());
-  ASSERT_EQ(deepened.max_population(), 200u);
-  for (unsigned n = 1; n <= 200; ++n) {
-    for (std::size_t k = 0; k < model.stations(); ++k) {
-      EXPECT_EQ(deepened.at(n, k), fresh.at(n, k)) << "n=" << n << " k=" << k;
-    }
-  }
 }
 
 // ------------------------------------------------------- mvasd golden bits

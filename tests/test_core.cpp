@@ -520,7 +520,7 @@ TEST(DemandGrid, BitIdenticalToModelAtOnVinsShapedSplines) {
   constexpr unsigned kMax = 2000;  // runs past the knots into extrapolation
   const DemandGrid grid(model, kMax);
   ASSERT_TRUE(grid.tabulated());
-  EXPECT_EQ(grid.stations(), model.stations());
+  EXPECT_EQ(grid.row_stride(), model.stations());
   for (unsigned n = 1; n <= kMax; ++n) {
     const double* row = grid.row(n);
     for (std::size_t k = 0; k < model.stations(); ++k) {

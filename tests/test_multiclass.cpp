@@ -453,37 +453,6 @@ TEST(MulticlassSeries, PrefixEqualsShallowerMix) {
   EXPECT_EQ(trimmed.class_station_queue, direct.class_station_queue);
 }
 
-TEST(MulticlassSeries, GridDeepeningIsBitIdentical) {
-  const auto net = two_station_net(1.0);
-  auto spline = std::make_shared<interp::PiecewiseCubic>(
-      interp::build_cubic_spline(
-          interp::SampleSet({1, 8, 16}, {0.10, 0.08, 0.05})));
-  CustomerClass varying{"v", 6, 1.0, {}};
-  varying.demand_model =
-      std::make_shared<DemandModel>(DemandModel::interpolated({spline, spline}));
-  const std::vector<CustomerClass> classes{{"c", 4, 1.0, {0.02, 0.03}},
-                                           varying};
-  const MulticlassGrid shallow(net, classes, 5);
-  const MulticlassGrid deepened(net, classes, 10, &shallow);
-  const MulticlassGrid direct(net, classes, 10);
-  EXPECT_TRUE(deepened.varying());
-  for (std::size_t c = 0; c < 2; ++c) {
-    for (unsigned n = 1; n <= 10; ++n) {
-      for (std::size_t k = 0; k < 2; ++k) {
-        EXPECT_EQ(deepened.row(c, n)[k], direct.row(c, n)[k])
-            << "class " << c << " n " << n << " station " << k;
-      }
-    }
-  }
-  // A pre-built grid drives the solver to the same result as local
-  // tabulation.
-  const auto options = multiclass_options(kExact, classes);
-  const auto with_grid = solve(net, nullptr, options, nullptr, &direct);
-  const auto without = solve(net, nullptr, options);
-  EXPECT_EQ(with_grid.throughput, without.throughput);
-  EXPECT_EQ(with_grid.class_throughput, without.class_throughput);
-}
-
 TEST(MulticlassSeries, VaryingDemandsReadTotalPopulation) {
   // Two classes whose model demands fall with total concurrency: the mix's
   // demands at the top level must be the model value at the *total*

@@ -282,19 +282,15 @@ TEST(Engine, CacheBytesFollowStoreDeepenEvictAndClear) {
   Engine engine(options);
   EXPECT_EQ(engine.metrics().cache_bytes, 0u);
 
-  // A spline spec caches its tabulated grid rows next to its result.
+  // A spline entry pins its result and nothing else: no demand-grid rows.
   const auto stored = engine.evaluate(spline_spec(0.010, 60));
-  const std::size_t grid_60 = 60u * 2u * sizeof(double);
-  EXPECT_EQ(engine.metrics().cache_bytes,
-            stored.result->bytes() + grid_60);
+  EXPECT_EQ(engine.metrics().cache_bytes, stored.result->bytes());
 
   const auto deepened = engine.evaluate(spline_spec(0.010, 90));
   EXPECT_FALSE(deepened.cache_hit);
-  EXPECT_EQ(engine.metrics().cache_bytes,
-            deepened.result->bytes() + 90u * 2u * sizeof(double));
+  EXPECT_EQ(engine.metrics().cache_bytes, deepened.result->bytes());
 
-  // Capacity 1: a new structure evicts the spline entry.  Constant demands
-  // cache no grid.
+  // Capacity 1: a new structure evicts the spline entry.
   const auto lean = engine.evaluate(lean_spec("lean", 30));
   EXPECT_EQ(engine.metrics().evictions, 1u);
   EXPECT_EQ(engine.metrics().cache_bytes, lean.result->bytes());
@@ -388,8 +384,7 @@ TEST(Engine, ConcurrentHammerStaysConsistent) {
 
 /// A two-class mix over cpu+disk.  `heavy` is the fixed class; `light`
 /// is last-with-population, so the series kinds sweep it as the axis.
-/// `varying` swaps light's constant demands for a concurrency spline
-/// (exercising the per-class MulticlassGrid cache path).
+/// `varying` swaps light's constant demands for a concurrency spline.
 ScenarioSpec multiclass_spec(SolverKind kind, unsigned axis_pop = 12,
                              bool varying = false) {
   ScenarioSpec spec;
@@ -498,7 +493,7 @@ TEST(Engine, MulticlassAxisPrefixHitMatchesDirectSolve) {
   EXPECT_EQ(engine.metrics().prefix_hits, 1u);
 }
 
-TEST(Engine, MulticlassClassGridDeepensAndMatchesDirectSolve) {
+TEST(Engine, MulticlassVaryingClassDeepensAndMatchesDirectSolve) {
   Engine engine(EngineOptions{.threads = 2});
   const auto shallow =
       multiclass_spec(SolverKind::kExactMulticlass, 10, /*varying=*/true);
@@ -511,7 +506,7 @@ TEST(Engine, MulticlassClassGridDeepensAndMatchesDirectSolve) {
 
   const MvaResult direct =
       core::solve(deep.network, &deep.demands, deep.options);
-  expect_identical(*evaluated.result, direct);  // grid reuse is bit-exact
+  expect_identical(*evaluated.result, direct);  // bit for bit
 }
 
 TEST(Engine, MomMulticlassCachesWholeMixesOnly) {
@@ -586,48 +581,6 @@ TEST(SolveFacade, LoadDependentIsAnAliasOfMvasd) {
   EXPECT_FALSE(first.cache_hit);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(first.result.get(), second.result.get());
-}
-
-TEST(SolveFacade, MvasdRefusesUnusablePrebuiltGrids) {
-  // The deepen-reuse hook borrows the caller's grid as is: a grid that is
-  // not tabulated, or does not cover the solve, is refused by name rather
-  // than re-tabulated behind the caller's back.
-  const auto spec = basic_spec();
-  const core::SolveOptions options{SolverKind::kMvasd, 40};
-  const auto message = [&](const core::DemandModel& demands,
-                           const core::DemandGrid& grid) {
-    try {
-      (void)core::solve(spec.network, demands, options, &grid);
-    } catch (const invalid_argument_error& e) {
-      return std::string(e.what());
-    }
-    return std::string();
-  };
-  const auto by_x = [&] {
-    std::vector<std::shared_ptr<const interp::Interpolator1D>> fns;
-    for (std::size_t k = 0; k < spec.network.size(); ++k) {
-      fns.push_back(std::make_shared<interp::PiecewiseCubic>(
-          interp::build_cubic_spline(
-              interp::SampleSet({1.0, 50.0, 100.0}, {0.01, 0.012, 0.015}))));
-    }
-    return DemandModel::interpolated(std::move(fns),
-                                     DemandModel::Axis::kThroughput);
-  }();
-  EXPECT_NE(message(by_x, core::DemandGrid(by_x, 40))
-                .find("prebuilt demand grids must be tabulated"),
-            std::string::npos);
-  EXPECT_NE(message(spec.demands, core::DemandGrid(spec.demands, 39))
-                .find("prebuilt demand grid does not cover this solve"),
-            std::string::npos);
-  const auto wider = DemandModel::constant(
-      std::vector<double>(spec.network.size() + 1, 0.01));
-  EXPECT_NE(message(spec.demands, core::DemandGrid(wider, 40))
-                .find("prebuilt demand grid does not cover this solve"),
-            std::string::npos);
-  // A covering grid is borrowed and gives the grid-free solve's bits.
-  const core::DemandGrid deep(spec.demands, 60);
-  EXPECT_EQ(core::solve(spec.network, spec.demands, options, &deep).throughput,
-            core::solve(spec.network, spec.demands, options).throughput);
 }
 
 TEST(SolveFacade, ErrorsCarryStablePrefix) {
