@@ -4,11 +4,10 @@
 // message carries the stable "mtperf: " prefix — callers (CLI, serve tool,
 // tests) can match on the prefix and on the category that follows it
 // without depending on solver-specific wording.  The MTPERF_REQUIRE macro
-// gives call sites a one-line way to validate inputs while keeping the
-// failure message informative (expression + user text).
+// gives call sites a one-line way to validate inputs; the failure message
+// is the call site's own text, the same on every build.
 #pragma once
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -47,25 +46,19 @@ class numeric_error : public Error {
 
 namespace detail {
 
-[[noreturn]] inline void throw_requirement_failure(const char* expr,
-                                                   const char* file, int line,
-                                                   const std::string& msg) {
-  std::ostringstream os;
-  os << Error::prefix() << "requirement failed: (" << expr << ") at " << file
-     << ':' << line;
-  if (!msg.empty()) os << " — " << msg;
-  throw invalid_argument_error(os.str());
+/// MTPERF_REQUIRE's failure path, kept out of line so call sites stay a
+/// compare and a cold call.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_requirement_failure(
+    const std::string& msg) {
+  throw invalid_argument_error(msg);
 }
 
 }  // namespace detail
 }  // namespace mtperf
 
-/// Validate an API precondition; throws mtperf::invalid_argument_error with
-/// the failing expression, location, and a caller-provided message.
-#define MTPERF_REQUIRE(expr, msg)                                          \
-  do {                                                                     \
-    if (!(expr)) {                                                         \
-      ::mtperf::detail::throw_requirement_failure(#expr, __FILE__,         \
-                                                  __LINE__, (msg));        \
-    }                                                                      \
+/// Validate an API precondition; throws mtperf::invalid_argument_error
+/// with the caller-provided message, which names what went wrong.
+#define MTPERF_REQUIRE(expr, msg)                                  \
+  do {                                                             \
+    if (!(expr)) ::mtperf::detail::throw_requirement_failure((msg)); \
   } while (false)

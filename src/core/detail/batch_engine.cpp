@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/error.hpp"
@@ -725,11 +726,15 @@ BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs) {
   std::vector<std::string> keys;
   std::vector<std::vector<std::size_t>> groups;
   std::vector<char> group_mc;
+  std::vector<std::vector<std::size_t>> multiclass_blocks;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ScenarioSpec& spec = *specs[i];
     std::string key;
     bool mc = false;
-    if (batchable_solver(spec.options.solver)) {
+    // A class mix on a single-class kind goes to the scalar path, where
+    // solve() raises the canonical error; the lane kernel reads no classes.
+    if (batchable_solver(spec.options.solver) &&
+        spec.options.classes.empty()) {
       key = batch_structure_key(spec.network, spec.options.solver);
     } else if (multiclass_batchable(spec)) {
       key = multiclass_batch_key(spec);
@@ -760,7 +765,7 @@ BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs) {
                        return specs[a]->options.max_population >
                               specs[b]->options.max_population;
                      });
-    auto& out = group_mc[g] != 0 ? plan.mc_blocks : plan.blocks;
+    auto& out = group_mc[g] != 0 ? multiclass_blocks : plan.blocks;
     const std::size_t width =
         group_mc[g] != 0 && specs[group[0]]->options.solver ==
                                 SolverKind::kSchweitzerMulticlass
@@ -771,7 +776,39 @@ BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs) {
       out.emplace_back(group.begin() + at, group.begin() + end);
     }
   }
+  // Single-class blocks first, then multiclass blocks: callers run blocks
+  // as tasks in plan order.
+  plan.blocks.insert(plan.blocks.end(),
+                     std::make_move_iterator(multiclass_blocks.begin()),
+                     std::make_move_iterator(multiclass_blocks.end()));
   return plan;
+}
+
+std::vector<MvaResult> solve_planned_block(
+    const std::vector<const ScenarioSpec*>& specs,
+    const std::vector<std::size_t>& block) {
+  MTPERF_REQUIRE(!block.empty(), "batched solve needs at least one lane");
+  const SolverKind kind = specs[block[0]]->options.solver;
+  if (batchable_solver(kind)) {
+    std::vector<BatchLane> lanes(block.size());
+    for (std::size_t l = 0; l < block.size(); ++l) {
+      const ScenarioSpec& spec = *specs[block[l]];
+      lanes[l].network = &spec.network;
+      lanes[l].demands = &spec.demands;
+      lanes[l].max_population = spec.options.max_population;
+      lanes[l].rows = spec.options.station_rows;
+    }
+    return solve_lane_block(lanes);
+  }
+  std::vector<MulticlassBatchLane> lanes(block.size());
+  for (std::size_t l = 0; l < block.size(); ++l) {
+    const ScenarioSpec& spec = *specs[block[l]];
+    lanes[l].network = &spec.network;
+    lanes[l].classes = &spec.options.classes;
+    lanes[l].schweitzer = spec.options.schweitzer;
+    lanes[l].rows = spec.options.station_rows;
+  }
+  return solve_multiclass_lane_block(kind, lanes);
 }
 
 std::vector<MvaResult> solve_lane_block(const std::vector<BatchLane>& lanes) {

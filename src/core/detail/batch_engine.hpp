@@ -90,22 +90,29 @@ std::string batch_structure_key(const ClosedNetwork& network, SolverKind kind);
 
 /// Partition of a spec list into lockstep work units.
 struct BatchPlan {
-  /// Each block: indices into the input list, structure-compatible, at most
-  /// kBatchLaneBlock lanes, ordered by descending max_population (so lane
-  /// retirement shrinks a prefix).
+  /// Each block: indices into the input list, structure-compatible, ordered
+  /// by descending max_population (so lane retirement shrinks a prefix).
+  /// Single-class blocks (at most kBatchLaneBlock lanes, grouped by
+  /// batch_structure_key) come first, then multiclass blocks (grouped by
+  /// multiclass_batch_key, at most kMcSchweitzerLaneBlock lanes for the
+  /// Schweitzer kind and kBatchLaneBlock for the exact kind).
   std::vector<std::vector<std::size_t>> blocks;
-  /// Multiclass lockstep blocks: same shape as `blocks`, but grouped by the
-  /// class-aware key (multiclass_batch_key) and ordered by descending axis
-  /// depth; solve these through solve_multiclass_lane_block.
-  std::vector<std::vector<std::size_t>> mc_blocks;
   /// Specs no batched kernel covers — solve these through core::solve.
   std::vector<std::size_t> scalars;
 };
 
 /// Group batchable specs by structure key (class-aware for the multiclass
 /// series kinds), order each group by descending population, and chunk it
-/// into kBatchLaneBlock-sized blocks.
+/// into blocks.
 BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs);
+
+/// Solve one block of plan_batch(specs): fill its lanes from the specs and
+/// run the kernel their kind needs (solve_lane_block or
+/// solve_multiclass_lane_block).  Returns one MvaResult per lane, in block
+/// order; throws what the kernel throws.
+std::vector<MvaResult> solve_planned_block(
+    const std::vector<const ScenarioSpec*>& specs,
+    const std::vector<std::size_t>& block);
 
 /// Solve one structure-compatible lane group in lockstep and return one
 /// MvaResult per lane, in input order.  All lanes must share the structure

@@ -25,9 +25,12 @@
 // supports at load time — the binary stays portable, the hot loops still
 // get ymm/zmm vectors on hosts that have them.  Both kernels compile with
 // -ffp-contract=off, so every clone executes the same IEEE op sequence and
-// the pick cannot change results.
+// the pick cannot change results.  ThreadSanitizer builds emit no clones
+// (with them, GCC 12's TSan binaries die with SIGSEGV at startup; the
+// ifunc resolvers, which run before the sanitizer runtime, are the likely
+// cause): the default body gives the same bits.
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__ELF__)
+    defined(__ELF__) && !defined(__SANITIZE_THREAD__)
 #define MTPERF_ISA_CLONES \
   __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
 #define MTPERF_HAS_ISA_CLONES 1

@@ -183,51 +183,19 @@ std::vector<MvaResult> solve_batch(const std::vector<ScenarioSpec>& specs,
 
   // One task per lockstep block plus one per scalar fallback; each task
   // writes disjoint output slots, so no synchronization is needed.
-  const auto run_block = [&](const std::vector<std::size_t>& block) {
-    std::vector<detail::BatchLane> lanes(block.size());
-    for (std::size_t l = 0; l < block.size(); ++l) {
-      const ScenarioSpec& spec = specs[block[l]];
-      lanes[l].network = &spec.network;
-      lanes[l].demands = &spec.demands;
-      lanes[l].max_population = spec.options.max_population;
-      lanes[l].rows = spec.options.station_rows;
-    }
-    std::vector<MvaResult> results = detail::solve_lane_block(lanes);
-    for (std::size_t l = 0; l < block.size(); ++l) {
-      out[block[l]] = std::move(results[l]);
-    }
-  };
-  const auto run_mc_block = [&](const std::vector<std::size_t>& block) {
-    std::vector<detail::MulticlassBatchLane> lanes(block.size());
-    for (std::size_t l = 0; l < block.size(); ++l) {
-      const ScenarioSpec& spec = specs[block[l]];
-      lanes[l].network = &spec.network;
-      lanes[l].classes = &spec.options.classes;
-      lanes[l].schweitzer = spec.options.schweitzer;
-      lanes[l].rows = spec.options.station_rows;
-    }
-    std::vector<MvaResult> results = detail::solve_multiclass_lane_block(
-        specs[block[0]].options.solver, lanes);
-    for (std::size_t l = 0; l < block.size(); ++l) {
-      out[block[l]] = std::move(results[l]);
-    }
-  };
-  const auto run_scalar = [&](std::size_t i) {
-    out[i] = solve(specs[i].network, &specs[i].demands, specs[i].options);
-  };
-
-  const std::size_t tasks =
-      plan.blocks.size() + plan.mc_blocks.size() + plan.scalars.size();
   const auto run_task = [&](std::size_t t) {
     if (t < plan.blocks.size()) {
-      run_block(plan.blocks[t]);
-    } else if (t < plan.blocks.size() + plan.mc_blocks.size()) {
-      run_mc_block(plan.mc_blocks[t - plan.blocks.size()]);
-    } else {
-      run_scalar(
-          plan.scalars[t - plan.blocks.size() - plan.mc_blocks.size()]);
+      const std::vector<std::size_t>& block = plan.blocks[t];
+      std::vector<MvaResult> results = detail::solve_planned_block(ptrs, block);
+      for (std::size_t l = 0; l < block.size(); ++l) {
+        out[block[l]] = std::move(results[l]);
+      }
+      return;
     }
+    const std::size_t i = plan.scalars[t - plan.blocks.size()];
+    out[i] = solve(specs[i].network, &specs[i].demands, specs[i].options);
   };
+  const std::size_t tasks = plan.blocks.size() + plan.scalars.size();
   if (pool != nullptr && tasks > 1) {
     parallel_for(*pool, tasks, run_task);
   } else {

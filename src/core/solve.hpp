@@ -178,11 +178,14 @@ inline MvaResult solve(const ClosedNetwork& network, const DemandModel& demands,
 
 /// Solve many scenarios at once, batching structure-compatible specs (same
 /// solver kind, station count, per-station server counts and kinds) through
-/// the lane-major lockstep kernel so the population recursion runs once per
-/// group instead of once per spec.  Specs no batched kernel covers fall back
-/// to per-spec solve() calls.  Results always match per-spec solve() calls
-/// bit-for-bit and are returned in input order.  With a pool, lockstep
-/// blocks and scalar fallbacks run as parallel tasks.
+/// the lane-major lockstep kernels so the population recursion runs once
+/// per group instead of once per spec (detail::plan_batch and
+/// detail::solve_planned_block, which service::Engine::evaluate_batch runs
+/// too).  Specs no batched kernel covers fall back to per-spec solve()
+/// calls.  Results always match per-spec solve() calls bit-for-bit and are
+/// returned in input order.  With a pool, lockstep blocks and scalar
+/// fallbacks run as parallel tasks.  Any spec's failure throws out of the
+/// whole call; the engine's evaluate_batch answers each spec on its own.
 std::vector<MvaResult> solve_batch(const std::vector<ScenarioSpec>& specs,
                                    ThreadPool* pool = nullptr);
 

@@ -4,8 +4,8 @@
 //
 // A scenario is *data*: a network, a demand model, and SolveOptions
 // naming the solver — not a closure.  Declarative specs let the runner
-// parallelize, and let the service-layer engine fingerprint and memoize
-// them (see service::Engine, which plugs in through ScenarioEvaluator).
+// batch and parallelize them, and let the service-layer engine
+// (service::Engine) fingerprint and memoize them.
 #pragma once
 
 #include <string>
@@ -37,23 +37,11 @@ struct LabeledResult {
   MvaResult result;
 };
 
-/// Evaluation strategy hook for run_scenarios: the default evaluator calls
-/// core::solve directly; service::Engine implements this interface to serve
-/// repeated and overlapping specs from its cache.  Implementations must be
-/// safe to call concurrently from pool workers.
-class ScenarioEvaluator {
- public:
-  virtual ~ScenarioEvaluator() = default;
-  virtual MvaResult evaluate_spec(const ScenarioSpec& spec) = 0;
-};
-
-/// Evaluate all specs — in parallel when a pool is supplied — through
-/// `evaluator` (or, when null, through solve_batch(): structure-compatible
-/// specs are solved in lockstep by the lane-major batched kernel, with
-/// results bit-identical to per-spec solve() calls).  The returned vector
-/// always matches the input order.
+/// Solve all specs through solve_batch() — in parallel when a pool is
+/// supplied — and label the results: structure-compatible specs are solved
+/// in lockstep by the lane-major batched kernel, with results bit-identical
+/// to per-spec solve() calls.  The returned vector matches the input order.
 std::vector<LabeledResult> run_scenarios(
-    const std::vector<ScenarioSpec>& scenarios, ThreadPool* pool = nullptr,
-    ScenarioEvaluator* evaluator = nullptr);
+    const std::vector<ScenarioSpec>& scenarios, ThreadPool* pool = nullptr);
 
 }  // namespace mtperf::core

@@ -17,9 +17,11 @@
 
 namespace mtperf::service {
 
-static_assert(kEngineBatchLanes == core::detail::kBatchLaneBlock,
-              "EngineMetrics occupancy histogram must match the kernel's "
-              "lane block size");
+static_assert(kEngineMaxBlockLanes ==
+                  std::max(core::detail::kBatchLaneBlock,
+                           core::detail::kMcSchweitzerLaneBlock),
+              "EngineMetrics occupancy histogram must cover the widest "
+              "lockstep block the kernels run");
 
 namespace {
 
@@ -80,7 +82,7 @@ void Engine::record_solve_ms(double ms) {
 void Engine::record_batch_block(std::size_t lanes) {
   batch_blocks_.fetch_add(1, std::memory_order_relaxed);
   batch_lanes_.fetch_add(lanes, std::memory_order_relaxed);
-  occupancy_hist_[std::min(lanes, kEngineBatchLanes)].fetch_add(
+  occupancy_hist_[std::min(lanes, kEngineMaxBlockLanes)].fetch_add(
       1, std::memory_order_relaxed);
 }
 
@@ -105,29 +107,23 @@ Engine::FlightRole Engine::join_or_lead(const Fingerprint& fp, unsigned want,
   return FlightRole::kLeader;
 }
 
-void Engine::finish_flight(const Fingerprint& fp,
+void Engine::settle_flight(const Fingerprint& fp,
                            const std::shared_ptr<Flight>& flight,
-                           std::shared_ptr<const core::MvaResult> result) {
+                           std::shared_ptr<const core::MvaResult> result,
+                           std::exception_ptr error) {
   {
-    // Retire before publishing.  The result is already in the cache, so a
+    // Retire before publishing.  A result is already in the cache, so a
     // request that probed before the store and finds no flight becomes a
     // leader, and its second probe finds the entry instead of solving.
     std::lock_guard<std::mutex> lock(flights_mutex_);
     const auto it = flights_.find(fp);
     if (it != flights_.end() && it->second == flight) flights_.erase(it);
   }
-  flight->promise.set_value(std::move(result));
-}
-
-void Engine::fail_flight(const Fingerprint& fp,
-                         const std::shared_ptr<Flight>& flight,
-                         std::exception_ptr error) {
-  {
-    std::lock_guard<std::mutex> lock(flights_mutex_);
-    const auto it = flights_.find(fp);
-    if (it != flights_.end() && it->second == flight) flights_.erase(it);
+  if (result != nullptr) {
+    flight->promise.set_value(std::move(result));
+  } else {
+    flight->promise.set_exception(std::move(error));
   }
-  flight->promise.set_exception(std::move(error));
 }
 
 Evaluation Engine::await_flight(const core::ScenarioSpec& spec,
@@ -143,20 +139,10 @@ Evaluation Engine::await_flight(const core::ScenarioSpec& spec,
     misses_.fetch_add(1, std::memory_order_relaxed);
     return solve_miss(spec, fp);
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
   coalesced_.fetch_add(1, std::memory_order_relaxed);
-  const unsigned want = spec.options.max_population;
-  Evaluation ev;
-  ev.label = spec.label;
-  ev.cache_hit = true;
+  Evaluation ev =
+      serve_hit(spec.label, std::move(result), spec.options.max_population);
   ev.coalesced = true;
-  if (result->levels() == want) {
-    ev.result = std::move(result);
-  } else {
-    prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-    ev.prefix_hit = true;
-    ev.result = std::make_shared<const core::MvaResult>(result->prefix(want));
-  }
   return ev;
 }
 
@@ -222,27 +208,32 @@ Evaluation Engine::solve_miss(const core::ScenarioSpec& spec,
                               const Fingerprint& fp) {
   const auto start = std::chrono::steady_clock::now();
   std::shared_ptr<const core::MvaResult> solved;
-  if (spec.options.solver == core::SolverKind::kHierarchical) {
-    // Hierarchical solves route each tier's subnetwork extraction back
-    // through evaluate(), so every FES throughput profile is its own
-    // fingerprinted cache entry — a batch editing one tier re-solves one
-    // profile and shares the rest.  The recursion is deadlock-free:
-    // evaluate() holds no shard lock while solving, and a subnetwork spec
-    // (think 0, strict station subset, kMvasd) can never alias the
-    // parent's kHierarchical fingerprint, so flight waits form a DAG.
-    const core::detail::SubnetworkEvaluator sub =
-        [this](const core::ScenarioSpec& inner) {
-          Evaluation ev = evaluate(inner);
-          (ev.cache_hit ? fes_profile_hits_ : fes_profile_misses_)
-              .fetch_add(1, std::memory_order_relaxed);
-          return ev.result;
-        };
-    solved = std::make_shared<const core::MvaResult>(
-        core::detail::solve_hierarchical(spec.network, &spec.demands,
-                                         spec.options, sub));
-  } else {
-    solved = std::make_shared<const core::MvaResult>(
-        core::solve(spec.network, &spec.demands, spec.options));
+  try {
+    if (spec.options.solver == core::SolverKind::kHierarchical) {
+      // Hierarchical solves route each tier's subnetwork extraction back
+      // through evaluate(), so every FES throughput profile is its own
+      // fingerprinted cache entry — a batch editing one tier re-solves one
+      // profile and shares the rest.  The recursion is deadlock-free: the
+      // engine holds no shard lock while solving, a one-spec batch runs
+      // its one task on the calling thread, and a subnetwork spec (think
+      // 0, strict station subset, kMvasd) can never alias the parent's
+      // kHierarchical fingerprint, so flight waits form a DAG.
+      const core::detail::SubnetworkEvaluator sub =
+          [this](const core::ScenarioSpec& inner) {
+            Evaluation ev = evaluate(inner);
+            (ev.cache_hit ? fes_profile_hits_ : fes_profile_misses_)
+                .fetch_add(1, std::memory_order_relaxed);
+            return ev.result;
+          };
+      solved = std::make_shared<const core::MvaResult>(
+          core::detail::solve_hierarchical(spec.network, &spec.demands,
+                                           spec.options, sub));
+    } else {
+      solved = std::make_shared<const core::MvaResult>(
+          core::solve(spec.network, &spec.demands, spec.options));
+    }
+  } catch (...) {
+    return Evaluation{.label = spec.label, .error = std::current_exception()};
   }
   const auto stop = std::chrono::steady_clock::now();
   const double ms =
@@ -253,56 +244,13 @@ Evaluation Engine::solve_miss(const core::ScenarioSpec& spec,
 }
 
 Evaluation Engine::evaluate(const core::ScenarioSpec& spec) {
-  const Fingerprint fp = fingerprint(spec);
-  const unsigned want = spec.options.max_population;
-  MTPERF_REQUIRE(want >= 1, "population must be at least 1");
-  requests_.fetch_add(1, std::memory_order_relaxed);
-
-  if (auto cached = lookup(fp, want)) {
-    return serve_hit(spec.label, std::move(cached), want);
-  }
-
-  std::shared_ptr<Flight> flight;
-  switch (join_or_lead(fp, want, &flight)) {
-    case FlightRole::kFollower:
-      return await_flight(spec, fp, flight);
-    case FlightRole::kLeader: {
-      // A previous leader may have stored its result and retired its
-      // flight since the probe above.
-      if (auto cached = lookup(fp, want)) {
-        finish_flight(fp, flight, cached);
-        return serve_hit(spec.label, std::move(cached), want);
-      }
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      try {
-        Evaluation ev = solve_miss(spec, fp);
-        finish_flight(fp, flight, ev.result);
-        return ev;
-      } catch (...) {
-        fail_flight(fp, flight, std::current_exception());
-        throw;
-      }
-    }
-    case FlightRole::kIndependent:
-      break;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return solve_miss(spec, fp);
-}
-
-std::future<Evaluation> Engine::submit(core::ScenarioSpec spec) {
-  queue_depth_.fetch_add(1, std::memory_order_relaxed);
-  return pool_->submit([this, spec = std::move(spec)]() mutable {
-    struct DepthGuard {
-      std::atomic<std::size_t>& depth;
-      ~DepthGuard() { depth.fetch_sub(1, std::memory_order_relaxed); }
-    } guard{queue_depth_};
-    return evaluate(spec);
-  });
+  Evaluation ev = std::move(evaluate_batch({&spec, 1})[0]);
+  if (ev.error != nullptr) std::rethrow_exception(ev.error);
+  return ev;
 }
 
 std::vector<Evaluation> Engine::evaluate_batch(
-    const std::vector<core::ScenarioSpec>& specs) {
+    std::span<const core::ScenarioSpec> specs) {
   const std::size_t n = specs.size();
   std::vector<Evaluation> out(n);
   if (n == 0) return out;
@@ -322,19 +270,17 @@ std::vector<Evaluation> Engine::evaluate_batch(
     Evaluation eval;
     /// Leader reps publish here after solving; follower reps await it.
     std::shared_ptr<Flight> flight;
-    bool follower = false;
   };
-  std::vector<Fingerprint> fps(n);
   std::vector<std::size_t> rep_of(n);
   std::vector<Rep> reps;
   std::unordered_map<Fingerprint, std::size_t, FingerprintHash> rep_index;
   for (std::size_t i = 0; i < n; ++i) {
     MTPERF_REQUIRE(specs[i].options.max_population >= 1,
                    "population must be at least 1");
-    fps[i] = fingerprint(specs[i]);
-    const auto [it, inserted] = rep_index.try_emplace(fps[i], reps.size());
+    const Fingerprint fp = fingerprint(specs[i]);
+    const auto [it, inserted] = rep_index.try_emplace(fp, reps.size());
     if (inserted) {
-      reps.push_back(Rep{i, fps[i], {}, nullptr, false});
+      reps.push_back(Rep{i, fp, {}, nullptr});
     } else if (specs[i].options.max_population >
                specs[reps[it->second].spec_index].options.max_population) {
       reps[it->second].spec_index = i;
@@ -359,13 +305,12 @@ std::vector<Evaluation> Engine::evaluate_batch(
     }
     switch (join_or_lead(rep.fp, want, &rep.flight)) {
       case FlightRole::kFollower:
-        rep.follower = true;
         follower_reps.push_back(r);
         break;
       case FlightRole::kLeader:
-        // Probe again, as evaluate() does.
+        // A previous leader may have stored and retired since the probe.
         if (auto cached = lookup(rep.fp, want)) {
-          finish_flight(rep.fp, rep.flight, cached);
+          settle_flight(rep.fp, rep.flight, cached, nullptr);
           rep.flight = nullptr;
           rep.eval = serve_hit(spec.label, std::move(cached), want);
           break;
@@ -379,7 +324,7 @@ std::vector<Evaluation> Engine::evaluate_batch(
   }
 
   // Group the misses by structure and solve each group in lockstep; specs
-  // the batched kernel doesn't cover fall back to scalar solve_miss calls.
+  // the batched kernels don't cover fall back to scalar solve_miss calls.
   // Every task writes disjoint reps, so no synchronization is needed.
   std::vector<const core::ScenarioSpec*> miss_specs;
   miss_specs.reserve(miss_reps.size());
@@ -389,17 +334,20 @@ std::vector<Evaluation> Engine::evaluate_batch(
   const core::detail::BatchPlan plan = core::detail::plan_batch(miss_specs);
 
   const auto run_block = [&](const std::vector<std::size_t>& block) {
-    std::vector<core::detail::BatchLane> lanes(block.size());
-    for (std::size_t l = 0; l < block.size(); ++l) {
-      const core::ScenarioSpec& spec = *miss_specs[block[l]];
-      lanes[l].network = &spec.network;
-      lanes[l].demands = &spec.demands;
-      lanes[l].max_population = spec.options.max_population;
-      lanes[l].rows = spec.options.station_rows;
-    }
     const auto start = std::chrono::steady_clock::now();
-    std::vector<core::MvaResult> results =
-        core::detail::solve_lane_block(lanes);
+    std::vector<core::MvaResult> results;
+    try {
+      results = core::detail::solve_planned_block(miss_specs, block);
+    } catch (...) {
+      // A lane's bits do not depend on its block, so solving each lane
+      // alone serves the good lanes the same bits and leaves the error to
+      // the failing lanes only.
+      for (const std::size_t b : block) {
+        Rep& rep = reps[miss_reps[b]];
+        rep.eval = solve_miss(specs[rep.spec_index], rep.fp);
+      }
+      return;
+    }
     const auto stop = std::chrono::steady_clock::now();
     record_batch_block(block.size());
     const double ms_per_lane =
@@ -407,85 +355,46 @@ std::vector<Evaluation> Engine::evaluate_batch(
         static_cast<double>(block.size());
     for (std::size_t l = 0; l < block.size(); ++l) {
       Rep& rep = reps[miss_reps[block[l]]];
-      const core::ScenarioSpec& spec = specs[rep.spec_index];
       record_solve_ms(ms_per_lane);
       auto solved =
           std::make_shared<const core::MvaResult>(std::move(results[l]));
       store(rep.fp, solved);
-      rep.eval = Evaluation{spec.label, std::move(solved), false, false,
-                            ms_per_lane};
-    }
-  };
-  const auto run_mc_block = [&](const std::vector<std::size_t>& block) {
-    std::vector<core::detail::MulticlassBatchLane> lanes(block.size());
-    for (std::size_t l = 0; l < block.size(); ++l) {
-      const core::ScenarioSpec& spec = *miss_specs[block[l]];
-      lanes[l].network = &spec.network;
-      lanes[l].classes = &spec.options.classes;
-      lanes[l].schweitzer = spec.options.schweitzer;
-      lanes[l].rows = spec.options.station_rows;
-    }
-    const core::SolverKind kind = miss_specs[block[0]]->options.solver;
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<core::MvaResult> results =
-        core::detail::solve_multiclass_lane_block(kind, lanes);
-    const auto stop = std::chrono::steady_clock::now();
-    record_batch_block(block.size());
-    const double ms_per_lane =
-        std::chrono::duration<double, std::milli>(stop - start).count() /
-        static_cast<double>(block.size());
-    for (std::size_t l = 0; l < block.size(); ++l) {
-      Rep& rep = reps[miss_reps[block[l]]];
-      const core::ScenarioSpec& spec = specs[rep.spec_index];
-      record_solve_ms(ms_per_lane);
-      auto solved =
-          std::make_shared<const core::MvaResult>(std::move(results[l]));
-      store(rep.fp, solved);
-      rep.eval = Evaluation{spec.label, std::move(solved), false, false,
-                            ms_per_lane};
+      rep.eval = Evaluation{specs[rep.spec_index].label, std::move(solved),
+                            false, false, ms_per_lane};
     }
   };
   const auto run_task = [&](std::size_t t) {
     if (t < plan.blocks.size()) {
       run_block(plan.blocks[t]);
-    } else if (t < plan.blocks.size() + plan.mc_blocks.size()) {
-      run_mc_block(plan.mc_blocks[t - plan.blocks.size()]);
-    } else {
-      Rep& rep = reps[miss_reps[plan.scalars[t - plan.blocks.size() -
-                                             plan.mc_blocks.size()]]];
-      const core::ScenarioSpec& spec = specs[rep.spec_index];
-      // Hierarchical specs are scalar by design (their reuse is the FES
-      // profile cache, not the lockstep kernel) — counting them as
-      // fallbacks would poison the lanes-vs-scalar diagnostic.
-      if (spec.options.solver != core::SolverKind::kHierarchical) {
-        batch_scalar_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      }
-      rep.eval = solve_miss(spec, rep.fp);
+      return;
     }
+    Rep& rep = reps[miss_reps[plan.scalars[t - plan.blocks.size()]]];
+    const core::ScenarioSpec& spec = specs[rep.spec_index];
+    // Hierarchical specs are scalar by design (their reuse is the FES
+    // profile cache, not the lockstep kernel) — counting them as
+    // fallbacks would poison the lanes-vs-scalar diagnostic.
+    if (spec.options.solver != core::SolverKind::kHierarchical) {
+      batch_scalar_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    }
+    rep.eval = solve_miss(spec, rep.fp);
   };
-  // Solve, then settle every registered flight exactly once: leaders whose
-  // rep solved publish the result; on failure the remaining waiters get
-  // the error (and fall back to their own solves).  Publishing our own
-  // flights *before* awaiting foreign ones below makes cross-batch waits
-  // deadlock-free — two batches leading and following each other's
-  // structures both publish first.
-  const auto settle_flights = [&](std::exception_ptr error) {
+  // Solve, then settle every registered flight exactly once: a solved rep
+  // publishes its result, a failed rep its own error (waiters then fall
+  // back to their own solves).  Publishing our own flights *before*
+  // awaiting foreign ones below makes cross-batch waits deadlock-free —
+  // two batches leading and following each other's structures both
+  // publish first.  Tasks report solve failures in their reps; anything
+  // else a task throws abandons the batch, and its flights get that error.
+  const auto settle_flights = [&](const std::exception_ptr& abandoned) {
     for (const std::size_t r : miss_reps) {
       Rep& rep = reps[r];
       if (rep.flight == nullptr) continue;
-      if (rep.eval.result != nullptr) {
-        finish_flight(rep.fp, rep.flight, rep.eval.result);
-      } else {
-        fail_flight(rep.fp, rep.flight,
-                    error != nullptr ? error
-                                     : std::make_exception_ptr(Error(
-                                           "batch evaluation abandoned")));
-      }
+      settle_flight(rep.fp, rep.flight, rep.eval.result,
+                    rep.eval.error != nullptr ? rep.eval.error : abandoned);
       rep.flight = nullptr;
     }
   };
-  const std::size_t tasks =
-      plan.blocks.size() + plan.mc_blocks.size() + plan.scalars.size();
+  const std::size_t tasks = plan.blocks.size() + plan.scalars.size();
   try {
     if (tasks > 1 && pool_->size() > 1) {
       parallel_for(*pool_, tasks, run_task);
@@ -506,33 +415,20 @@ std::vector<Evaluation> Engine::evaluate_batch(
 
   // Fill every slot from its representative: the rep's own slot shares the
   // Evaluation; duplicates share or trim the rep's result and count as
-  // cache hits (the whole point of dedup — one solve, many answers).
+  // cache hits (the whole point of dedup — one solve, many answers), or
+  // carry the rep's error.
   for (std::size_t i = 0; i < n; ++i) {
     const Rep& rep = reps[rep_of[i]];
     if (i == rep.spec_index) {
       out[i] = rep.eval;
-      out[i].label = specs[i].label;
-      continue;
+    } else if (rep.eval.error != nullptr) {
+      out[i] = Evaluation{.label = specs[i].label, .error = rep.eval.error};
+    } else {
+      out[i] = serve_hit(specs[i].label, rep.eval.result,
+                         specs[i].options.max_population);
     }
-    out[i] = serve_hit(specs[i].label, rep.eval.result,
-                       specs[i].options.max_population);
   }
   return out;
-}
-
-std::vector<core::LabeledResult> Engine::run_scenarios(
-    const std::vector<core::ScenarioSpec>& specs) {
-  auto evaluations = evaluate_batch(specs);
-  std::vector<core::LabeledResult> out;
-  out.reserve(evaluations.size());
-  for (auto& ev : evaluations) {
-    out.push_back(core::LabeledResult{std::move(ev.label), *ev.result});
-  }
-  return out;
-}
-
-core::MvaResult Engine::evaluate_spec(const core::ScenarioSpec& spec) {
-  return *evaluate(spec).result;
 }
 
 EngineMetrics Engine::metrics() const {

@@ -12,23 +12,26 @@
 //                      MVA at N computes every level 1..N on the way, so
 //                      the cached deep solve answers the request with an
 //                      O(N' K) row copy instead of a re-solve;
-//   * miss           — the solver runs (through the core::solve facade)
-//                      and the result is cached, deepening any existing
-//                      shallower entry for the same structure.
+//   * miss           — the solver runs (a lockstep block of the lane
+//                      kernels, or core::solve) and the result is cached,
+//                      deepening any existing shallower entry for the
+//                      same structure.
 //
 // A cache entry holds its result and nothing else: a deeper re-solve of a
 // varying-demand structure tabulates its demands from scratch, like any
 // other miss.
 //
-// evaluate_batch dedupes specs with identical fingerprints (one solve per
+// evaluate_batch is the engine's one miss path; evaluate() is a batch of
+// one.  It dedupes specs with identical fingerprints (one solve per
 // structure, duplicates filled by sharing or trimming), groups the
 // remaining misses by structure, and solves each group through the
-// lane-major batched kernel (core/detail/batch_engine.hpp) — the
+// lane-major batched kernels (core/detail/batch_engine.hpp) — the
 // population recursion runs once per group, not once per spec.  Lockstep
 // blocks fan out over the shared ThreadPool with chunked submission
-// (common/thread_pool.hpp), and per-scenario futures are available for
-// streaming callers (the mtperf_serve tool).  All entry points are safe to
-// call concurrently.
+// (common/thread_pool.hpp).  Each spec gets its own outcome: a spec whose
+// solve fails carries its error in its Evaluation, and the other specs of
+// its batch (and of its lockstep block) are served as if it were absent.
+// All entry points are safe to call concurrently.
 //
 // Concurrent identical misses are single-flighted: the first request to
 // register a fingerprint becomes the leader and runs the solver; requests
@@ -45,9 +48,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -70,24 +75,27 @@ struct EngineOptions {
   std::size_t threads = 0;
 };
 
-/// Outcome of one scenario evaluation.  `result` always has exactly
+/// Outcome of one scenario evaluation.  On success `result` has exactly
 /// `spec.options.max_population` levels, identical (bit-for-bit) to a
-/// direct core::solve of the spec.
+/// direct core::solve of the spec.  When the spec's solve failed, `error`
+/// holds what core::solve throws for it and `result` is null.
 struct Evaluation {
   std::string label;
-  std::shared_ptr<const core::MvaResult> result;
+  std::shared_ptr<const core::MvaResult> result = nullptr;
   bool cache_hit = false;   ///< served without running a solver
   bool prefix_hit = false;  ///< served by trimming a deeper cached solve
   double solve_ms = 0.0;    ///< solver wall time; 0 on hits
   /// Served by waiting on a concurrent identical request's in-flight solve
   /// (single-flight dedup) rather than probing the cache or solving.
   bool coalesced = false;
+  std::exception_ptr error = nullptr;  ///< set when the solve failed
 };
 
-/// Lanes per lockstep block of the batched kernel, mirrored here so the
-/// metrics surface does not pull in core/detail headers (engine.cpp
-/// static_asserts the two constants agree).
-inline constexpr std::size_t kEngineBatchLanes = 16;
+/// Lanes of the widest lockstep block the kernels run (a
+/// schweitzer-multiclass block), mirrored here so the metrics surface does
+/// not pull in core/detail headers (engine.cpp static_asserts it against
+/// both kernels' block constants).
+inline constexpr std::size_t kEngineMaxBlockLanes = 32;
 
 /// Counter snapshot plus latency percentiles over all solves so far.
 /// Counters are maintained as relaxed atomics and snapshotted without
@@ -104,7 +112,7 @@ struct EngineMetrics {
   /// Buffer bytes the cached entries pin: the sum of their results'
   /// MvaResult::bytes.
   std::size_t cache_bytes = 0;
-  std::size_t queue_depth = 0;  ///< scenarios submitted but not finished
+  std::size_t queue_depth = 0;  ///< specs inside evaluate_batch calls now
   double hit_rate = 0.0;        ///< hits / requests (0 when idle)
   /// Percentiles of per-solve latency (misses only), in milliseconds;
   /// all zero until the first miss.
@@ -114,15 +122,17 @@ struct EngineMetrics {
   double solve_ms_max = 0.0;
   /// Lockstep batch occupancy: how full the lane-major blocks actually
   /// ran.  batch_occupancy[l] counts blocks that solved l lanes
-  /// (1 <= l <= kEngineBatchLanes; index 0 unused).
+  /// (1 <= l <= kEngineMaxBlockLanes; index 0 unused).  Every miss runs
+  /// through evaluate_batch, so evaluate() misses (FES subnetwork solves
+  /// among them) count as blocks too, mostly one-lane blocks.
   std::uint64_t batch_blocks = 0;  ///< lockstep blocks solved
   std::uint64_t batch_lanes = 0;   ///< lanes across those blocks
-  /// Batch misses no lockstep kernel covered (kind not batchable, or a
+  /// Misses no lockstep kernel covered (kind not batchable, or a
   /// multiclass spec past the lockstep lattice budget) — each ran a
-  /// per-spec scalar solve inside evaluate_batch.  batch_lanes vs this
-  /// counter is the lanes-vs-scalar split of batched serving traffic.
-  /// Hierarchical specs are exempt: they run per-spec by design (their
-  /// reuse lives in the FES profile cache, not the lockstep kernel).
+  /// per-spec scalar solve.  batch_lanes vs this counter is the
+  /// lanes-vs-scalar split of serving traffic.  Hierarchical specs are
+  /// exempt: they run per-spec by design (their reuse lives in the FES
+  /// profile cache, not the lockstep kernel).
   std::uint64_t batch_scalar_fallbacks = 0;
   /// Flow-equivalent-server profile reuse (kHierarchical only): each tier's
   /// subnetwork solve routes back through this cache, so a batch editing
@@ -132,41 +142,36 @@ struct EngineMetrics {
   std::uint64_t fes_profile_hits = 0;
   std::uint64_t fes_profile_misses = 0;
   double batch_occupancy_mean = 0.0;  ///< lanes per block (0 when none)
-  std::array<std::uint64_t, kEngineBatchLanes + 1> batch_occupancy{};
+  std::array<std::uint64_t, kEngineMaxBlockLanes + 1> batch_occupancy{};
 };
 
-class Engine final : public core::ScenarioEvaluator {
+class Engine final {
  public:
   explicit Engine(EngineOptions options = {});
-  ~Engine() override;
+  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Evaluate one spec through the cache, synchronously.
+  /// Evaluate one spec through the cache, synchronously: evaluate_batch of
+  /// that one spec.  A failed solve rethrows its error (the exception
+  /// core::solve throws for the spec).
   Evaluation evaluate(const core::ScenarioSpec& spec);
-
-  /// Enqueue one spec on the pool; the future yields its Evaluation.
-  std::future<Evaluation> submit(core::ScenarioSpec spec);
 
   /// Evaluate a batch; the returned vector matches the input order.
   /// Specs with identical fingerprints are deduplicated — the structure is
   /// solved once (at the batch's deepest requested population) and
   /// duplicate slots are filled by sharing or prefix-trimming that result,
   /// counted as cache hits.  Cache misses are grouped by structure and
-  /// solved in lockstep by the lane-major batched kernel; blocks and
-  /// scalar fallbacks run in parallel over the pool.
+  /// solved in lockstep by the lane-major batched kernels; blocks and
+  /// scalar fallbacks run in parallel over the pool.  A spec whose solve
+  /// fails gets an Evaluation carrying its error (and so do its in-batch
+  /// duplicates); a block whose kernel throws re-solves its lanes one at a
+  /// time, so only the failing lanes carry errors.  Throws only for
+  /// failures before any solve (a population below 1, or a multiclass spec
+  /// that breaks the axis-depth invariant the fingerprint needs).
   std::vector<Evaluation> evaluate_batch(
-      const std::vector<core::ScenarioSpec>& specs);
-
-  /// core::run_scenarios through this engine: parallel, cached, and
-  /// returning the familiar LabeledResult rows (results copied out).
-  std::vector<core::LabeledResult> run_scenarios(
-      const std::vector<core::ScenarioSpec>& specs);
-
-  /// core::ScenarioEvaluator — lets core::run_scenarios(..., evaluator)
-  /// route any spec batch through this cache.
-  core::MvaResult evaluate_spec(const core::ScenarioSpec& spec) override;
+      std::span<const core::ScenarioSpec> specs);
 
   EngineMetrics metrics() const;
 
@@ -203,19 +208,17 @@ class Engine final : public core::ScenarioEvaluator {
   FlightRole join_or_lead(const Fingerprint& fp, unsigned want,
                           std::shared_ptr<Flight>* flight);
 
-  /// Publish the leader's result to every waiter and retire the flight.
-  void finish_flight(const Fingerprint& fp,
+  /// Retire the flight and publish the leader's result to every waiter,
+  /// or, when `result` is null, `error` (waiters then fall back to
+  /// solving).
+  void settle_flight(const Fingerprint& fp,
                      const std::shared_ptr<Flight>& flight,
-                     std::shared_ptr<const core::MvaResult> result);
-
-  /// Retire the flight with an error; waiters fall back to solving.
-  void fail_flight(const Fingerprint& fp,
-                   const std::shared_ptr<Flight>& flight,
-                   std::exception_ptr error);
+                     std::shared_ptr<const core::MvaResult> result,
+                     std::exception_ptr error);
 
   /// Follower path: wait for the flight's result and serve `spec` from it
-  /// (sharing or prefix-trimming).  Falls back to an independent solve if
-  /// the leader failed.
+  /// through serve_hit.  Falls back to an independent solve if the leader
+  /// failed.
   Evaluation await_flight(const core::ScenarioSpec& spec,
                           const Fingerprint& fp,
                           const std::shared_ptr<Flight>& flight);
@@ -232,7 +235,8 @@ class Engine final : public core::ScenarioEvaluator {
                                                 unsigned want);
 
   /// Run the solver for one spec (no cache probe; counters untouched except
-  /// the latency sample) and store the result.
+  /// the latency sample) and store the result.  A failed solve returns an
+  /// Evaluation carrying the error instead of throwing.
   Evaluation solve_miss(const core::ScenarioSpec& spec, const Fingerprint& fp);
 
   /// Insert the solved result, deepening (never shrinking) any existing
@@ -264,7 +268,7 @@ class Engine final : public core::ScenarioEvaluator {
   std::atomic<std::uint64_t> batch_scalar_fallbacks_{0};
   std::atomic<std::uint64_t> fes_profile_hits_{0};
   std::atomic<std::uint64_t> fes_profile_misses_{0};
-  std::array<std::atomic<std::uint64_t>, kEngineBatchLanes + 1>
+  std::array<std::atomic<std::uint64_t>, kEngineMaxBlockLanes + 1>
       occupancy_hist_{};
 
   /// Per-solve latency samples, striped by thread so concurrent solves do

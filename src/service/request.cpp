@@ -1,6 +1,7 @@
 #include "service/request.hpp"
 
 #include <cmath>
+#include <exception>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -218,6 +219,14 @@ ParsedRequest parse_request(std::string_view line) {
 
 void append_evaluation(std::string& out, const Evaluation& evaluation,
                        bool series, const Json& id) {
+  if (evaluation.error != nullptr) {
+    try {
+      std::rethrow_exception(evaluation.error);
+    } catch (const std::exception& e) {
+      append_error(out, e.what(), id);
+    }
+    return;
+  }
   const core::MvaResult& r = *evaluation.result;
   const std::size_t top = r.levels() - 1;
   Json::Object line;

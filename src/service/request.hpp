@@ -1,7 +1,8 @@
 // The request-handling core shared by every front end of the scenario
 // engine: the stdio loop and the socket server of mtperf_serve, the load
 // generator, and the pipeline tests all parse and serialize through these
-// functions, so the two transports cannot drift apart.
+// functions, so the two transports cannot drift apart — a request whose
+// solve fails gets the same error line on both.
 //
 // Wire format (one JSON object per '\n'-terminated line, both directions):
 //
@@ -85,7 +86,9 @@ ParsedRequest parse_request(std::string_view line);
 /// parse does not matter; malformed JSON simply yields a null id.
 Json recover_request_id(std::string_view line);
 
-/// Append one result line (with trailing '\n') for an evaluation.
+/// Append one result line (with trailing '\n') for an evaluation; for a
+/// failed one (Evaluation::error set), the {"error": ..., "id": ...} line
+/// the stdio transport writes when evaluate() throws that error.
 void append_evaluation(std::string& out, const Evaluation& evaluation,
                        bool series, const Json& id);
 

@@ -240,8 +240,10 @@ void Server::flush_batch(std::vector<Pending>& batch) {
   try {
     evaluations = engine_->evaluate_batch(specs);
   } catch (const std::exception& e) {
-    // The engine settles per-spec failures internally; reaching here means
-    // the whole batch failed.  Answer every request so no client hangs.
+    // A spec whose solve fails comes back as an Evaluation carrying its
+    // error (append_evaluation writes its error line); reaching here means
+    // the batch failed before any solve.  Answer every request so no
+    // client hangs.
     for (Pending& p : batch) {
       out.clear();
       append_error(out, e.what(), p.id);

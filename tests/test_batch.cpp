@@ -2,10 +2,12 @@
 // lockstep parity against per-spec core::solve calls (VINS- and
 // JPetStore-shaped fixtures, multi-server + delay stations, both demand
 // axes, ragged populations), the solve_batch facade, the scenario
-// engine's batch dedup + cached-grid deepening, and mvasd's golden bits.
+// engine's batch dedup, deepening and per-spec failures, and mvasd's
+// golden bits.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <exception>
 #include <memory>
 #include <string>
 #include <utility>
@@ -333,7 +335,8 @@ TEST(EngineBatch, DedupesIdenticalFingerprints) {
 TEST(EngineBatch, MixedHitsAndMissesKeepOrderAndParity) {
   service::Engine engine;
   // Warm one structure, then batch it together with cold structures.
-  (void)engine.evaluate_batch({vins_spec("warm", 1.0, 200)});
+  (void)engine.evaluate_batch(
+      std::vector<ScenarioSpec>{vins_spec("warm", 1.0, 200)});
   std::vector<ScenarioSpec> specs;
   specs.push_back(jpetstore_spec("cold-jps", 1.0, 100));
   specs.push_back(vins_spec("warm-prefix", 1.0, 120));  // prefix of warm
@@ -372,11 +375,12 @@ TEST(EngineBatch, DeepenedResolveStaysExact) {
 
 TEST(EngineBatch, BatchedDeepenMatchesDirectSolve) {
   service::Engine engine;
-  (void)engine.evaluate_batch({vins_spec("seed", 1.0, 60)});
+  (void)engine.evaluate_batch(
+      std::vector<ScenarioSpec>{vins_spec("seed", 1.0, 60)});
   // A deeper request for a cached structure re-solves on the batched miss
   // path.
-  const auto evals = engine.evaluate_batch({vins_spec("deeper", 1.0, 240),
-                                            jpetstore_spec("jps", 1.0, 90)});
+  const auto evals = engine.evaluate_batch(std::vector<ScenarioSpec>{
+      vins_spec("deeper", 1.0, 240), jpetstore_spec("jps", 1.0, 90)});
   for (const auto& ev : evals) EXPECT_FALSE(ev.cache_hit);
   const ScenarioSpec reference = vins_spec("ref", 1.0, 240);
   const MvaResult scalar =
@@ -486,12 +490,13 @@ TEST(McBatchPlan, RoutesMulticlassSeriesKindsToMcBlocks) {
   for (const auto& s : specs) ptrs.push_back(&s);
   const auto plan = core::detail::plan_batch(ptrs);
 
-  ASSERT_EQ(plan.blocks.size(), 1u);  // the VINS lane
+  // The VINS lane's block comes first, then the multiclass blocks:
   // Schweitzer and exact mixes group separately (kind is in the key),
   // each ordered deepest-axis-first for lane retirement.
-  ASSERT_EQ(plan.mc_blocks.size(), 2u);
-  EXPECT_EQ(plan.mc_blocks[0], (std::vector<std::size_t>{3, 0}));
-  EXPECT_EQ(plan.mc_blocks[1], (std::vector<std::size_t>{5, 2}));
+  ASSERT_EQ(plan.blocks.size(), 3u);
+  EXPECT_EQ(plan.blocks[0], (std::vector<std::size_t>{1}));
+  EXPECT_EQ(plan.blocks[1], (std::vector<std::size_t>{3, 0}));
+  EXPECT_EQ(plan.blocks[2], (std::vector<std::size_t>{5, 2}));
   // MoM is a single-level moment recursion with no shared axis — scalar.
   ASSERT_EQ(plan.scalars.size(), 1u);
   EXPECT_EQ(plan.scalars[0], 4u);
@@ -681,11 +686,12 @@ TEST(McEngineBatch, VaryingClassDeepensThroughTheBatchPath) {
   // Seed a varying-class structure shallow, then batch it deeper: the
   // lockstep kernel re-solves it and must match a from-scratch scalar solve
   // bit-for-bit.
-  (void)engine.evaluate_batch({mixed_model_spec("seed", 1.0, 4)});
+  (void)engine.evaluate_batch(
+      std::vector<ScenarioSpec>{mixed_model_spec("seed", 1.0, 4)});
   const auto before = engine.metrics();
-  const auto evals =
-      engine.evaluate_batch({mixed_model_spec("deeper", 1.0, 12),
-                             mixed_model_spec("sibling", 1.3, 9)});
+  const auto evals = engine.evaluate_batch(
+      std::vector<ScenarioSpec>{mixed_model_spec("deeper", 1.0, 12),
+                                mixed_model_spec("sibling", 1.3, 9)});
   const auto after = engine.metrics();
   EXPECT_EQ(after.misses - before.misses, 2u);
   EXPECT_EQ(after.batch_blocks - before.batch_blocks, 1u);
@@ -700,6 +706,105 @@ TEST(McEngineBatch, VaryingClassDeepensThroughTheBatchPath) {
   // The deepened entry answers both depths from cache now.
   EXPECT_TRUE(engine.evaluate(mixed_model_spec("hit", 1.0, 12)).cache_hit);
   EXPECT_TRUE(engine.evaluate(mixed_model_spec("hit4", 1.0, 4)).cache_hit);
+}
+
+TEST(McEngineBatch, WideSchweitzerBlockLandsInItsOccupancyBin) {
+  // Schweitzer blocks run up to kMcSchweitzerLaneBlock lanes, wider than
+  // single-class blocks; the histogram has a bin for every width.
+  service::Engine engine;
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < 20; ++i) {
+    specs.push_back(mix_spec("wide-" + std::to_string(i),
+                             0.8 + 0.02 * static_cast<double>(i), 6));
+  }
+  (void)engine.evaluate_batch(specs);
+  const auto metrics = engine.metrics();
+  EXPECT_EQ(metrics.batch_occupancy.size(),
+            core::detail::kMcSchweitzerLaneBlock + 1);
+  EXPECT_EQ(metrics.batch_blocks, 1u);
+  EXPECT_EQ(metrics.batch_occupancy[20], 1u);
+}
+
+/// The message of the exception `error` holds.
+std::string error_text(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// Evaluate `specs` — one lockstep block whose lane `bad` fails, plus an
+/// in-batch duplicate of it at `dup` — and check that only those two carry
+/// the failure: core::solve's error for the spec, with no result.  The good
+/// lanes match core::solve bit for bit and are cached.
+void expect_failing_lane_answers_alone(service::Engine& engine,
+                                       const std::vector<ScenarioSpec>& specs,
+                                       std::size_t bad, std::size_t dup) {
+  std::vector<const ScenarioSpec*> ptrs;
+  for (const auto& s : specs) ptrs.push_back(&s);
+  const auto plan = core::detail::plan_batch(ptrs);
+  ASSERT_EQ(plan.blocks.size(), 1u);
+  ASSERT_TRUE(plan.scalars.empty());
+  std::string want_error;
+  try {
+    (void)core::solve(specs[bad].network, &specs[bad].demands,
+                      specs[bad].options);
+    FAIL() << "the failing spec solved";
+  } catch (const Error& e) {
+    want_error = e.what();
+  }
+
+  const auto evals = engine.evaluate_batch(specs);
+  ASSERT_EQ(evals.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("spec " + specs[i].label);
+    EXPECT_EQ(evals[i].label, specs[i].label);
+    if (i == bad || i == dup) {
+      EXPECT_EQ(evals[i].result, nullptr);
+      ASSERT_NE(evals[i].error, nullptr);
+      EXPECT_EQ(error_text(evals[i].error), want_error);
+      continue;
+    }
+    ASSERT_NE(evals[i].result, nullptr);
+    EXPECT_EQ(evals[i].error, nullptr);
+    expect_mc_parity(*evals[i].result,
+                     core::solve(specs[i].network, &specs[i].demands,
+                                 specs[i].options));
+    EXPECT_TRUE(engine.evaluate(specs[i]).cache_hit);
+  }
+}
+
+TEST(EngineBatch, FailingLaneAnswersAloneInItsBlock) {
+  {
+    // mvasd: a zero-demand, zero-think lane among VINS lanes.
+    ScenarioSpec bad = vins_spec("bad", 1.0, 40);
+    bad.network = ClosedNetwork(vins_network().stations(), 0.0);
+    bad.demands = DemandModel::constant(std::vector<double>(12, 0.0));
+    ScenarioSpec dup = bad;
+    dup.label = "dup";
+    dup.options.max_population = 20;
+    const std::vector<ScenarioSpec> specs = {
+        vins_spec("good-0", 1.0, 60), bad, vins_spec("good-1", 1.2, 90), dup,
+        vins_spec("good-2", 1.4, 30)};
+    service::Engine engine;
+    expect_failing_lane_answers_alone(engine, specs, 1, 3);
+    EXPECT_THROW((void)engine.evaluate(bad), invalid_argument_error);
+  }
+  {
+    // schweitzer-multiclass: one lane allowed a single iteration.
+    ScenarioSpec bad = mix_spec("bad", 1.1, 7);
+    bad.options.schweitzer.max_iterations = 1;
+    ScenarioSpec dup = bad;
+    dup.label = "dup";
+    const std::vector<ScenarioSpec> specs = {
+        mix_spec("good-0", 1.0, 6), bad, dup, mix_spec("good-1", 1.2, 9),
+        mix_spec("good-2", 0.9, 4)};
+    service::Engine engine;
+    expect_failing_lane_answers_alone(engine, specs, 1, 2);
+    EXPECT_THROW((void)engine.evaluate(bad), numeric_error);
+  }
 }
 
 // ------------------------------------------------------- mvasd golden bits

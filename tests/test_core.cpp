@@ -1238,20 +1238,20 @@ TEST(StationRows, SolveBatchMixesRowKindsInRaggedBlocks) {
   std::vector<const ScenarioSpec*> ptrs;
   for (const auto& s : specs) ptrs.push_back(&s);
   const auto plan = detail::plan_batch(ptrs);
-  ASSERT_FALSE(plan.blocks.empty());
-  ASSERT_FALSE(plan.mc_blocks.empty());
-  for (const auto* blocks : {&plan.blocks, &plan.mc_blocks}) {
-    bool mixed = false;
-    for (const auto& block : *blocks) {
-      bool lean = false, full = false;
-      for (const std::size_t i : block) {
-        (specs[i].options.station_rows == StationRows::kAll ? full : lean) =
-            true;
-      }
-      mixed = mixed || (lean && full);
+  // Both kernels run a block that mixes lean and full lanes:
+  // mixed[is_multiclass(kind)].
+  bool mixed[2] = {false, false};
+  for (const auto& block : plan.blocks) {
+    bool lean = false, full = false;
+    for (const std::size_t i : block) {
+      (specs[i].options.station_rows == StationRows::kAll ? full : lean) =
+          true;
     }
-    EXPECT_TRUE(mixed);
+    mixed[is_multiclass(specs[block[0]].options.solver) ? 1 : 0] |=
+        lean && full;
   }
+  EXPECT_TRUE(mixed[0]);
+  EXPECT_TRUE(mixed[1]);
 
   const std::vector<MvaResult> batched = solve_batch(specs);
   ASSERT_EQ(batched.size(), specs.size());

@@ -468,7 +468,8 @@ TEST(ExampleMesh, SolvesThroughSolveBatchAndEngine) {
   const auto direct = core::solve(spec.network, &spec.demands, spec.options);
 
   service::Engine engine;
-  const auto batch = engine.evaluate_batch({spec, spec});
+  const auto batch =
+      engine.evaluate_batch(std::vector<core::ScenarioSpec>{spec, spec});
   ASSERT_EQ(batch.size(), 2u);
   for (const auto& evaluation : batch) {
     EXPECT_EQ(evaluation.result->throughput, direct.throughput);

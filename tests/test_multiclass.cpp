@@ -1053,7 +1053,7 @@ void expect_series_golden(SolverKind kind, const SeriesMixAt& mix,
   std::vector<const ScenarioSpec*> ptrs;
   for (const auto& s : block) ptrs.push_back(&s);
   const auto plan = detail::plan_batch(ptrs);
-  EXPECT_EQ(plan.mc_blocks.size(), 1u);
+  EXPECT_EQ(plan.blocks.size(), 1u);
   EXPECT_TRUE(plan.scalars.empty());
 
   const std::vector<std::pair<const char*, MvaResult>> paths = {

@@ -228,10 +228,12 @@ TEST(RequestParsing, SchemaViolationsThrow) {
     }
     return std::string();
   };
-  EXPECT_NE(message("2.5", "10").find("station servers must be a whole number"),
-            std::string::npos);
-  EXPECT_NE(message("2", "2.5").find("max_population must be a whole number"),
-            std::string::npos);
+  // The message is the check's own text: no expression, source path or
+  // line number, so it reads the same from every build.
+  EXPECT_EQ(message("2.5", "10"),
+            "mtperf: station servers must be a whole number");
+  EXPECT_EQ(message("2", "2.5"),
+            "mtperf: max_population must be a whole number");
   EXPECT_EQ(message("2.0", "1e3"), "");
   const auto parsed = service::parse_request(
       "{\"stations\":[{\"name\":\"a\",\"servers\":2.0}],"
@@ -689,6 +691,79 @@ TEST(SocketServer, ServesParityErrorsAndMetrics) {
   EXPECT_TRUE(metrics.contains("server"));
   EXPECT_GE(metrics.at("server").at("accepted").as_number(), 1.0);
 
+  server.stop();
+}
+
+TEST(SocketServer, FailingRequestLeavesItsBatchServed) {
+  service::ServerOptions options;
+  options.port = 0;
+  options.max_batch = 4;
+  options.batch_deadline = std::chrono::milliseconds(200);
+  service::Server server(options);
+  server.start();
+
+  Socket sock = connect_tcp(server.port());
+  ASSERT_TRUE(sock.valid());
+  // Four requests in one write, so they share one flush: two valid mvasd
+  // lines, a degenerate one (zero demand, zero think), and a 3 x 700
+  // exact-multiclass mix past the exact kind's guard.
+  const std::string valid_two =
+      "{\"id\":1,\"think\":1.0,\"stations\":[{\"name\":\"cpu\","
+      "\"servers\":4},{\"name\":\"disk\"}],\"demands\":{\"type\":"
+      "\"constant\",\"values\":[0.012,0.03]},\"solver\":\"mvasd\","
+      "\"max_population\":120}\n";
+  const std::string degenerate =
+      "{\"id\":2,\"think\":0.0,\"stations\":[{\"name\":\"cpu\"},"
+      "{\"name\":\"disk\"}],\"demands\":{\"type\":\"constant\","
+      "\"values\":[0.0,0.0]},\"solver\":\"mvasd\",\"max_population\":10}\n";
+  const std::string too_large =
+      "{\"id\":3,\"solver\":\"exact-multiclass\",\"stations\":"
+      "[{\"name\":\"cpu\"},{\"name\":\"net\",\"kind\":\"delay\"}],"
+      "\"classes\":["
+      "{\"name\":\"browse\",\"population\":700,\"think\":1.0,"
+      "\"demands\":[0.004,0.020]},"
+      "{\"name\":\"search\",\"population\":700,\"think\":1.0,"
+      "\"demands\":[0.006,0.015]},"
+      "{\"name\":\"buy\",\"population\":700,\"think\":1.0,"
+      "\"demands\":[0.002,0.030]}]}\n";
+  const std::string valid_three =
+      "{\"id\":4,\"think\":0.5,\"stations\":[{\"name\":\"web\","
+      "\"servers\":2},{\"name\":\"app\",\"servers\":8},{\"name\":"
+      "\"db\"}],\"demands\":{\"type\":\"constant\",\"values\":"
+      "[0.004,0.02,0.015]},\"solver\":\"mvasd\",\"max_population\":80}\n";
+  const auto responses =
+      exchange(sock, {valid_two + degenerate + too_large + valid_three}, 4);
+  ASSERT_EQ(responses.size(), 4u);
+  EXPECT_EQ(server.metrics().batches, 1u);
+
+  // The valid requests match a direct solve bit-for-bit.
+  const std::pair<std::uint64_t, const std::string*> valid[] = {
+      {1, &valid_two}, {4, &valid_three}};
+  for (const auto& [id, line] : valid) {
+    SCOPED_TRACE("id " + std::to_string(id));
+    ASSERT_TRUE(responses.count(id));
+    const Json& response = responses.at(id);
+    ASSERT_TRUE(response.contains("throughput"));
+    const core::ScenarioSpec spec = service::parse_request(*line).spec;
+    const core::MvaResult direct =
+        core::solve(spec.network, &spec.demands, spec.options);
+    EXPECT_EQ(response.at("throughput").as_number(),
+              direct.throughput.back());
+    EXPECT_EQ(response.at("response_time").as_number(),
+              direct.response_time.back());
+  }
+  // Each failing request carries its own id and its own message.
+  const std::pair<std::uint64_t, const char*> failing[] = {
+      {2, "zero cycle time"}, {3, "too large"}};
+  for (const auto& [id, message] : failing) {
+    SCOPED_TRACE("id " + std::to_string(id));
+    ASSERT_TRUE(responses.count(id));
+    const Json& response = responses.at(id);
+    ASSERT_TRUE(response.contains("error"));
+    EXPECT_NE(response.at("error").as_string().find(message),
+              std::string::npos)
+        << response.at("error").as_string();
+  }
   server.stop();
 }
 

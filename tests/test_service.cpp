@@ -319,18 +319,17 @@ TEST(Engine, BatchPreservesOrderAndCaches) {
   EXPECT_GE(engine.metrics().hits, 6u);
 }
 
-TEST(Engine, RunScenariosThroughEvaluatorInterface) {
-  Engine engine(EngineOptions{.threads = 2});
-  const std::vector<ScenarioSpec> specs{basic_spec("a", 40),
-                                        basic_spec("b", 40)};
-  // Route the core sweep entry point through the engine.
-  const auto rows =
-      core::run_scenarios(specs, &engine.pool(), &engine);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].label, "a");
-  EXPECT_EQ(rows[1].label, "b");
-  expect_identical(rows[0].result, rows[1].result);
-  EXPECT_GE(engine.metrics().hits, 1u);
+TEST(Engine, RefusesClassesOnASingleClassKind) {
+  // The lane kernel reads no classes, so the batch paths leave such a spec
+  // to core::solve's refusal.
+  ScenarioSpec spec = basic_spec("mixed-up", 30);
+  spec.options.classes = {{"a", 5, 1.0, std::vector<double>{0.01, 0.02}}};
+  EXPECT_THROW((void)core::solve(spec.network, &spec.demands, spec.options),
+               invalid_argument_error);
+  Engine engine;
+  EXPECT_THROW((void)engine.evaluate(spec), invalid_argument_error);
+  EXPECT_THROW((void)core::solve_batch({basic_spec("ok", 30), spec}),
+               invalid_argument_error);
 }
 
 TEST(Engine, ConcurrentHammerStaysConsistent) {
@@ -355,7 +354,8 @@ TEST(Engine, ConcurrentHammerStaysConsistent) {
       auto s = specs[i];
       // Vary the requested depth to exercise prefix hits under contention.
       s.options.max_population = 30 + 10 * (round % 4);
-      futures.push_back(engine.submit(std::move(s)));
+      futures.push_back(engine.pool().submit(
+          [&engine, s = std::move(s)] { return engine.evaluate(s); }));
     }
   }
   std::size_t checked = 0;

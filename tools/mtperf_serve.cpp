@@ -137,7 +137,10 @@ int serve_stdio(service::Engine& engine) {
         }
         case service::RequestKind::kScenario: {
           pending.series = request.series;
-          pending.payload = engine.submit(std::move(request.spec));
+          pending.payload = engine.pool().submit(
+              [&engine, spec = std::move(request.spec)] {
+                return engine.evaluate(spec);
+              });
           break;
         }
       }
