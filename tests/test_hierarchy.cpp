@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -760,6 +762,240 @@ TEST(Hierarchical, GoldenColdCorpusWorkmodel) {
        0x1.47ae68be5d5e7p-7, 0x1.47e4d2b562277p-8, 0x1.07a2966a9e1f4p-9}};
   golden::expect_rows(core::solve(spec.network, &spec.demands, spec.options),
                       {1, 300, 600}, kGolden);
+}
+
+// --- windowed disaggregation -------------------------------------------------
+//
+// Station rows of FES tiers are disaggregated for a window of levels at a
+// time.  These cases cross window boundaries, deep and shallow supports
+// and a tier whose marginals are zeroed mid-window, in both row kinds.
+
+/// Bit-for-bit equality of two series.
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      ADD_FAILURE() << what << "[" << i << "]: " << got[i] << " vs "
+                    << want[i];
+      return;
+    }
+  }
+}
+
+/// Every row `got` carries equals `want`'s bit for bit.
+void expect_same_rows(const core::MvaResult& got, const core::MvaResult& want) {
+  EXPECT_EQ(got.station_rows, want.station_rows);
+  EXPECT_EQ(got.population, want.population);
+  expect_same_bits(got.throughput, want.throughput, "throughput");
+  expect_same_bits(got.response_time, want.response_time, "response_time");
+  expect_same_bits(got.cycle_time, want.cycle_time, "cycle_time");
+  expect_same_bits(got.station_queue, want.station_queue, "queue");
+  expect_same_bits(got.station_utilization, want.station_utilization,
+                   "utilization");
+  expect_same_bits(got.station_residence, want.station_residence,
+                   "residence");
+}
+
+/// A utilization-only solve of `spec` keeps the all-rows solve's system
+/// series and utilizations bit for bit, at every level.
+void expect_lean_equals_full(const core::ScenarioSpec& spec) {
+  core::SolveOptions full_options = spec.options;
+  full_options.station_rows = core::StationRows::kAll;
+  core::SolveOptions lean_options = spec.options;
+  lean_options.station_rows = core::StationRows::kUtilization;
+  const auto full = core::solve(spec.network, &spec.demands, full_options);
+  const auto lean = core::solve(spec.network, &spec.demands, lean_options);
+  ASSERT_EQ(lean.levels(), full.levels());
+  EXPECT_TRUE(lean.station_queue.empty());
+  EXPECT_TRUE(lean.station_residence.empty());
+  expect_same_bits(lean.throughput, full.throughput, "throughput");
+  expect_same_bits(lean.response_time, full.response_time, "response_time");
+  expect_same_bits(lean.cycle_time, full.cycle_time, "cycle_time");
+  expect_same_bits(lean.station_utilization, full.station_utilization,
+                   "utilization");
+}
+
+TEST(Hierarchical, ColdCorpusUtilizationRowsEqualAllRowsAtEveryLevel) {
+  expect_lean_equals_full(cold_corpus_workmodel());
+}
+
+TEST(Hierarchical, ColdCorpusPrefixTrimsEqualDirectSolves) {
+  // Every tier of the workmodel finds its plateau below depth 63, so a
+  // trimmed deep solve and a direct shallow one read the same profiles.
+  const core::ScenarioSpec spec = cold_corpus_workmodel();
+  for (const core::StationRows rows :
+       {core::StationRows::kAll, core::StationRows::kUtilization}) {
+    SCOPED_TRACE(rows == core::StationRows::kAll ? "all rows" : "utilization");
+    core::SolveOptions deep = spec.options;
+    deep.station_rows = rows;
+    const auto full = core::solve(spec.network, &spec.demands, deep);
+    for (const unsigned depth : {63u, 64u, 65u, 128u, 129u, 600u}) {
+      SCOPED_TRACE(depth);
+      core::SolveOptions direct = deep;
+      direct.max_population = depth;
+      expect_same_rows(full.prefix(depth),
+                       core::solve(spec.network, &spec.demands, direct));
+    }
+  }
+}
+
+/// A network whose one tier is its bottleneck.  Deep past the knee the
+/// reduced recursion drives the tier's offered load onto its anchor
+/// (y >= a), which zeroes the tier's marginals: first at level 210, in the
+/// middle of a window, and at most levels after it.
+core::ScenarioSpec saturating_tier_spec() {
+  core::ScenarioSpec spec;
+  spec.network = ClosedNetwork(
+      {Station{"front", 1.0, 4, StationKind::kQueueing},
+       Station{"gw", 1.0, 2, StationKind::kQueueing},
+       Station{"pool", 1.0, 8, StationKind::kQueueing},
+       Station{"lan", 1.0, 1, StationKind::kDelay},
+       Station{"disk", 0.5, 2, StationKind::kQueueing}},
+      0.5);
+  spec.demands = DemandModel::constant({0.002, 0.01, 0.03, 0.02, 0.004});
+  spec.options = SolveOptions{SolverKind::kHierarchical, 400};
+  spec.options.hierarchy.tiers = {{"core", {1, 2}}};
+  spec.options.hierarchy.saturation_tolerance = 1e-3;
+  spec.options.hierarchy.initial_depth = 8;
+  return spec;
+}
+
+TEST(Hierarchical, SaturatedTierInsideAWindowZeroesItsMarginals) {
+  const core::ScenarioSpec spec = saturating_tier_spec();
+  const TierSpec& tier = spec.options.hierarchy.tiers[0];
+  // The tier's truncation point, by extract_profile's plateau rule.
+  const core::ScenarioSpec sub = core::detail::subnetwork_spec(
+      spec.network, spec.demands, tier, spec.options.max_population);
+  const auto profile = core::solve(sub.network, &sub.demands, sub.options);
+  unsigned support = spec.options.max_population;
+  for (unsigned j = 2; j <= profile.levels(); ++j) {
+    const double gain = profile.throughput[j - 1] - profile.throughput[j - 2];
+    if (gain <= 1e-3 * profile.throughput[j - 1]) {
+      support = j;
+      break;
+    }
+  }
+  ASSERT_LT(support, 64u);
+
+  // A zeroed level puts the tier's whole mass in the tail, so each member
+  // reports its profile utilization at the truncation point exactly.
+  const auto full = core::solve(spec.network, &spec.demands, spec.options);
+  const auto zeroed = [&](std::size_t level) {
+    for (std::size_t i = 0; i < tier.stations.size(); ++i) {
+      if (full.utilization(level, tier.stations[i]) !=
+          profile.utilization(support - 1, i)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  unsigned first = 0, count = 0;
+  for (unsigned n = 1; n <= full.levels(); ++n) {
+    if (!zeroed(n - 1)) continue;
+    if (first == 0) first = n;
+    ++count;
+  }
+  EXPECT_EQ(first, 210u);
+  EXPECT_GT(count, 100u);
+
+  expect_lean_equals_full(spec);
+  const std::vector<std::vector<double>> kGolden = {
+      {0x1.8f00cf6d47034p+7, 0x1.18606f4033743p-1, 0x1.0c3037a019ba2p+0,
+       0x1.98ab260e3b277p-2, 0x1.7ac43ea7e2f36p+6, 0x1.3817c054e0151p+3,
+       0x1.feb95b6d27b24p+1, 0x1.a983dec28e991p-2, 0x1.989449241fc1dp-4,
+       0x1.feb95b6d27b24p-1, 0x1.7f0b0491ddc5bp-1, 0x1.feb95b6d27b24p+1,
+       0x1.989449241fc1dp-3, 0x1.06338868594c9p-9, 0x1.e6084f3caf75bp-2,
+       0x1.907a0e39d0444p-5, 0x1.47ae147ae147bp-6, 0x1.110291ff51f21p-9},
+      {0x1.8f00cf6d47036p+7, 0x1.1af16e8ee6885p-1, 0x1.0d78b74773442p+0,
+       0x1.98ab260e3b279p-2, 0x1.7ea1bd8499524p+6, 0x1.392bc96f2d1f1p+3,
+       0x1.feb95b6d27b27p+1, 0x1.a983dec28e993p-2, 0x1.989449241fc1fp-4,
+       0x1.feb95b6d27b25p-1, 0x1.7f0b0491ddc5cp-1, 0x1.feb95b6d27b27p+1,
+       0x1.989449241fc1fp-3, 0x1.06338868594c9p-9, 0x1.eafe073040766p-2,
+       0x1.91dc438879816p-5, 0x1.47ae147ae147bp-6, 0x1.110291ff51f21p-9},
+      {0x1.8f00cf6d47035p+7, 0x1.1d826ddd999c8p-1, 0x1.0ec136eeccce4p+0,
+       0x1.98ab260e3b278p-2, 0x1.827f3c614fb0fp+6, 0x1.3a3fd2897a29p+3,
+       0x1.feb95b6d27b25p+1, 0x1.a983dec28e992p-2, 0x1.989449241fc1ep-4,
+       0x1.feb95b6d27b25p-1, 0x1.7f0b0491ddc5cp-1, 0x1.feb95b6d27b25p+1,
+       0x1.989449241fc1ep-3, 0x1.06338868594c9p-9, 0x1.eff3bf23d177p-2,
+       0x1.933e78d722be9p-5, 0x1.47ae147ae147bp-6, 0x1.110291ff51f21p-9},
+      {0x1.8f00cf6d47035p+7, 0x1.8147757be7becp+0, 0x1.00a3babdf3df6p+1,
+       0x1.98ab260e3b278p-2, 0x1.17417954fce9ep+8, 0x1.0305457a2d3f9p+4,
+       0x1.feb95b6d27b25p+1, 0x1.a983dec28e992p-2, 0x1.989449241fc1ep-4,
+       0x1.feb95b6d27b25p-1, 0x1.7f0b0491ddc5cp-1, 0x1.feb95b6d27b25p+1,
+       0x1.989449241fc1ep-3, 0x1.06338868594c9p-9, 0x1.6657237d77bd8p+0,
+       0x1.4c5fe9f50a728p-4, 0x1.47ae147ae147bp-6, 0x1.110291ff51f21p-9}};
+  golden::expect_rows(full, {209, 210, 211, 400}, kGolden);
+}
+
+TEST(Hierarchical, ToleranceZeroSupportWiderThanAWindow) {
+  // Tolerance 0 keeps every profile level: support = max_population = 300,
+  // so a tier's staged marginals are several windows deep.
+  core::ScenarioSpec spec;
+  spec.network = mesh_network();
+  spec.demands = mesh_demands();
+  spec.options = SolveOptions{SolverKind::kHierarchical, 300};
+  spec.options.hierarchy.tiers = mesh_tiers();
+  expect_lean_equals_full(spec);
+  const std::vector<std::vector<double>> kGolden = {
+      {0x1.1ae757c0463e8p+3, 0x1.adad51705eb24p-4, 0x1.cf4f43c7a56fep-1,
+       0x1.21c0b8819bbc6p-5, 0x1.04b95ae268908p-4, 0x1.3ea9a758f11b4p-5,
+       0x1.21b180c4e3956p-4, 0x1.bcd41be12cd39p-6, 0x1.6a1de0f61c87ep-5,
+       0x1.c4a55933a3974p-2, 0x1.04b95a4accd1ep-3, 0x1.0865f221ed495p-6,
+       0x1.fb483445192ddp-5, 0x1.21b180c4e397fp-6, 0x1.04b95a4accd59p-6,
+       0x1.3ea9a73efa5a6p-7, 0x1.21b180c4e3956p-7, 0x1.b28a412755602p-6,
+       0x1.e2d2814825f9p-8, 0x1.c4a55933a3974p-2, 0x1.04b95a4accd1ep-6,
+       0x1.04b95a4accd1ep-6, 0x1.faf6a1588e42fp-6, 0x1.0632a2716081p-8,
+       0x1.d7dbf59a5e57fp-8, 0x1.205bc031b58f5p-8, 0x1.0624dd2f1aa1p-7,
+       0x1.9286acd3a31a2p-9, 0x1.47ae147ae1553p-8, 0x1.999999999999ap-5,
+       0x1.d7dbf487fcb8fp-7, 0x1.de823e61f51b3p-10, 0x1.cb0a54104e3f5p-8},
+      {0x1.3e42d58b8c9c5p+3, 0x1.adbdee4666e54p-4, 0x1.cf51576266764p-1,
+       0x1.45fd0e8453bb2p-5, 0x1.254f365c563afp-4, 0x1.667d410be3afdp-5,
+       0x1.45e63aed1b3fep-4, 0x1.f61f105dc49f7p-6, 0x1.975fc9a8624bp-5,
+       0x1.fd37bc127a93cp-2, 0x1.254f350898866p-3, 0x1.2a0aeefa0aa9dp-6,
+       0x1.1d66a34a8d906p-4, 0x1.45e63aed1b3fcp-6, 0x1.254f350898862p-6,
+       0x1.667d40d19df96p-7, 0x1.45e63aed1b3fep-7, 0x1.e8d95863a8dfbp-6,
+       0x1.0f95311aec0a9p-7, 0x1.fd37bc127a93cp-2, 0x1.254f350898863p-6,
+       0x1.254f350898863p-6, 0x1.1d29738f77d7dp-5, 0x1.063739996e7b8p-8,
+       0x1.d7dbf6aa8afd7p-8, 0x1.205bc04916435p-8, 0x1.0624dd2f1a9fdp-7,
+       0x1.93e45296cfde4p-9, 0x1.47ae147ae1775p-8, 0x1.999999999999ap-5,
+       0x1.d7dbf487fcb96p-7, 0x1.df794f78fd69cp-10, 0x1.cb22f1f9da579p-8},
+      {0x1.1ed9e45771ca7p+6, 0x1.b3c9a31779761p-4, 0x1.d012cdfc88c86p-1,
+       0x1.2b9c5abd78bfp-2, 0x1.087eea52fcfbdp-1, 0x1.4322478b68ca4p-2,
+       0x1.25bc4e7214bp-1, 0x1.1733b142030b9p-2, 0x1.6f2b6895d7a3p-2,
+       0x1.caf63a2582dd8p+1, 0x1.085cc0ee7dd6p+0, 0x1.2ec195749b937p-3,
+       0x1.11648ff9aae26p-1, 0x1.25bc4e2c7cb6ep-3, 0x1.085cacc1a3716p-3,
+       0x1.431bef9755fc8p-4, 0x1.25bc4e2c7cb6ep-4, 0x1.b89a7542bb122p-3,
+       0x1.e98f2cf4cfdb7p-5, 0x1.caf63a2582dd8p+1, 0x1.085cacc1a3713p-3,
+       0x1.085cacc1a3713p-3, 0x1.0104c466ed1ffp-2, 0x1.0b6326aa1eeefp-8,
+       0x1.d819122cbd4e9p-8, 0x1.20616965de3d2p-8, 0x1.0624dd6d3678ap-7,
+       0x1.f258d050aa818p-9, 0x1.47ae1a9c03772p-8, 0x1.999999999999ap-5,
+       0x1.d7dc188ab901dp-7, 0x1.0e31c6f1fca53p-9, 0x1.e7fa7040da3b7p-8},
+      {0x1.48d91e69ea701p+7, 0x1.cbe120f72b30ap-4, 0x1.d315bdb87effbp-1,
+       0x1.788a7daa1b64ap-1, 0x1.32ad5e8df731cp+0, 0x1.7322c957fc5b8p-1,
+       0x1.50be52f780a34p+0, 0x1.ec536cc0a273bp-1, 0x1.a4f0fe84f1dc8p-1,
+       0x1.07141854bb8cep+3, 0x1.2f3757c87c264p+1, 0x1.accd8fce7df38p-2,
+       0x1.b1cc74ce778fbp+0, 0x1.50bd8fc89e24fp-2, 0x1.2f110167c1879p-2,
+       0x1.726a1e297ac2p-3, 0x1.50bd8fc89e25p-3, 0x1.f91c57aced377p-2,
+       0x1.189df7d1d91eep-3, 0x1.07141854bb8cep+3, 0x1.2f110167c1879p-2,
+       0x1.2f110167c1879p-2, 0x1.26a5ddcf8a601p-1, 0x1.2520b07df77bbp-8,
+       0x1.dd7b24aeb795bp-8, 0x1.20eb82a4c4d6ap-8, 0x1.062575211185ep-7,
+       0x1.7f43696d1cdbfp-8, 0x1.47b13a09ae1afp-8, 0x1.999999999999ap-5,
+       0x1.d817a5063d616p-7, 0x1.4dcff5c08baa9p-9, 0x1.51b38c1761e45p-7},
+      {0x1.1cf075d267a44p+8, 0x1.02eca34b3aa25p-2, 0x1.0d87f59f9b756p+0,
+       0x1.afbf50abcaca7p+0, 0x1.1fb11b33b6c68p+1, 0x1.45ec26aa1f2e8p+0,
+       0x1.23e89d53ac5b1p+1, 0x1.7154f880633c3p+2, 0x1.6d0341d45810bp+0,
+       0x1.c7e722ea3f6d4p+3, 0x1.0b13354901244p+2, 0x1.0d5925583decap+0,
+       0x1.2f22cb66bbb2fp+5, 0x1.23c72095eb27p-1, 0x1.06999d53ba09ap-1,
+       0x1.40f4a3d81c44cp-2, 0x1.23c72095eb271p-2, 0x1.b5aab0e0e0bacp-1,
+       0x1.e64be0f9dd418p-3, 0x1.c7e722ea3f6d4p+3, 0x1.06999d53ba095p-1,
+       0x1.06999d53ba095p-1, 0x1.fe9c79065b849p-1, 0x1.83e5d38b60562p-8,
+       0x1.0279147d0db55p-7, 0x1.24d21f76eaba8p-8, 0x1.0642f3406dafdp-7,
+       0x1.4bd24a7d0bd34p-6, 0x1.47f0e084b87cfp-8, 0x1.999999999999ap-5,
+       0x1.dfe6714578d84p-7, 0x1.e3fc1c78985cdp-9, 0x1.1059384223a2bp-3}};
+  golden::expect_rows(core::solve(spec.network, &spec.demands, spec.options),
+                      {8, 9, 65, 150, 300}, kGolden);
 }
 
 }  // namespace
