@@ -20,16 +20,24 @@
 //   * sim    — analytic throughput inside the replicated simulator's
 //              95% CI (widened 1.5x, 1% relative floor).
 //
+// One row without a gate: the cold-serving workload's 30-service tiered
+// workmodel (N = 600), solved with its FES profiles served from a memo —
+// the reduced recursion plus the disaggregation — in microseconds per
+// solve, for all rows and for utilization rows only.
+//
 // Writes bench_out/BENCH_hierarchy.json.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/detail/hierarchy_engine.hpp"
 #include "core/solve.hpp"
 #include "graph/compile.hpp"
 #include "graph/service_graph.hpp"
@@ -111,6 +119,79 @@ std::vector<core::ScenarioSpec> make_fleet(unsigned edit_tier) {
         options));
   }
   return fleet;
+}
+
+/// The cold-serving workload's tiered workmodel: five tiers, each a
+/// single-server gateway calling pools of 32/24/16/8/4 servers and the next
+/// tier's gateway; N = 600, tolerance 1e-3, initial depth 64.
+core::ScenarioSpec cold_workmodel() {
+  constexpr unsigned kColdTiers = 5;
+  constexpr unsigned kServers[] = {32, 24, 16, 8, 4};
+  constexpr double kDemand[] = {0.02, 0.015, 0.01, 0.005, 0.002};
+  std::vector<graph::Service> services;
+  for (unsigned t = 0; t < kColdTiers; ++t) {
+    const std::string tier = "t" + std::to_string(t);
+    graph::Service gw;
+    gw.name = tier + "/gw";
+    gw.demand = 0.002;
+    gw.tier = tier;
+    for (unsigned p = 0; p < 5; ++p) {
+      gw.calls.push_back({tier + "/p" + std::to_string(p), 1.0, 1.0});
+    }
+    if (t + 1 < kColdTiers) {
+      gw.calls.push_back({"t" + std::to_string(t + 1) + "/gw", 1.0, 1.0});
+    }
+    services.push_back(std::move(gw));
+    for (unsigned p = 0; p < 5; ++p) {
+      graph::Service pool;
+      pool.name = tier + "/p" + std::to_string(p);
+      pool.demand = kDemand[p];
+      pool.servers = kServers[p];
+      pool.tier = tier;
+      services.push_back(std::move(pool));
+    }
+  }
+  core::SolveOptions options{core::SolverKind::kHierarchical, 600};
+  options.hierarchy.saturation_tolerance = 1e-3;
+  options.hierarchy.initial_depth = 64;
+  return graph::to_scenario(
+      graph::ServiceGraph(std::move(services), "t0/gw", 1.0), "cold",
+      options);
+}
+
+/// Microseconds per hierarchical solve of `spec` keeping `rows`, with the
+/// FES profiles served from a memo: best of 15 rounds of 40 solves.
+double reduced_solve_us(const core::ScenarioSpec& spec,
+                        core::StationRows rows) {
+  std::map<std::string, std::shared_ptr<const core::MvaResult>> memo;
+  const core::detail::SubnetworkEvaluator evaluator =
+      [&memo](const core::ScenarioSpec& sub) {
+        auto& slot = memo[sub.label + "@" +
+                          std::to_string(sub.options.max_population)];
+        if (slot == nullptr) {
+          slot = std::make_shared<const core::MvaResult>(
+              core::solve(sub.network, &sub.demands, sub.options));
+        }
+        return slot;
+      };
+  core::SolveOptions options = spec.options;
+  options.station_rows = rows;
+  double best = 1e300;
+  for (int round = 0; round < 15; ++round) {
+    constexpr int kSolves = 40;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kSolves; ++i) {
+      const auto r = core::detail::solve_hierarchical(
+          spec.network, &spec.demands, options, evaluator);
+      if (r.levels() != options.max_population) std::abort();
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    best = std::min(
+        best,
+        std::chrono::duration<double, std::micro>(stop - start).count() /
+            kSolves);
+  }
+  return best;
 }
 
 double time_ms(const std::function<void()>& body) {
@@ -202,6 +283,11 @@ int main() {
                                    0.01 * sim_x);
   const double hier_x_sim = hier.throughput[kSimUsers - 1];
 
+  const core::ScenarioSpec cold = cold_workmodel();
+  const double reduced_all_us = reduced_solve_us(cold, core::StationRows::kAll);
+  const double reduced_util_us =
+      reduced_solve_us(cold, core::StationRows::kUtilization);
+
   const double cold_speedup = flat_ms / std::max(cold_ms, 1e-6);
   const double warm_speedup = cold_ms / std::max(warm_ms, 1e-6);
 
@@ -224,6 +310,9 @@ int main() {
               100.0 * parity_x, 100.0 * parity_r);
   std::printf("  sim @%u users:  analytic %.2f vs sim %.2f +/- %.2f tx/s\n",
               kSimUsers, hier_x_sim, sim_x, sim_band);
+  std::printf("  cold workmodel (%zu stations, N=600), cached profiles: "
+              "%.1f us all rows, %.1f us utilization rows per solve\n",
+              cold.network.size(), reduced_all_us, reduced_util_us);
 
   bool ok = true;
   ok &= gate("cold>=5x", cold_speedup >= 5.0);
@@ -264,13 +353,16 @@ int main() {
       "  \"sim_throughput\": %.4f,\n"
       "  \"sim_band\": %.4f,\n"
       "  \"analytic_throughput\": %.4f,\n"
+      "  \"cold_workmodel_reduced_us_all_rows\": %.2f,\n"
+      "  \"cold_workmodel_reduced_us_utilization\": %.2f,\n"
       "  \"gates_pass\": %s\n"
       "}\n",
       kTiers, stations, fleet.size(), kMaxPopulation, flat_ms, cold_ms,
       cold_speedup, warm_ms, warm_speedup, incremental_ms,
       static_cast<unsigned long long>(inc_hits),
       static_cast<unsigned long long>(inc_misses), parity_x, parity_r,
-      kSimUsers, sim_x, sim_band, hier_x_sim, ok ? "true" : "false");
+      kSimUsers, sim_x, sim_band, hier_x_sim, reduced_all_us, reduced_util_us,
+      ok ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
   (void)flat_x_top;

@@ -773,6 +773,12 @@ BatchPlan plan_batch(const std::vector<const ScenarioSpec*>& specs) {
             : kBatchLaneBlock;
     for (std::size_t at = 0; at < group.size(); at += width) {
       const std::size_t end = std::min(group.size(), at + width);
+      if (group_mc[g] == 0 && end - at < kMinBatchLaneBlock) {
+        // Too narrow to pay for its padding: one-lane blocks (a lane's
+        // bits do not depend on its block).
+        for (std::size_t i = at; i < end; ++i) out.push_back({group[i]});
+        continue;
+      }
       out.emplace_back(group.begin() + at, group.begin() + end);
     }
   }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "core/detail/lane_block.hpp"
@@ -123,113 +121,6 @@ struct McSchweitzerView {
   double* snap_r = nullptr;    ///< [c * stride + l]
   double* snap_res = nullptr;  ///< [(c * K + k) * stride + l]
 };
-
-// The lane-pack helpers return vectors by value, always inlined: GCC's
-// -Wpsabi warning (reported at the end of the file) that such a return's
-// calling convention depends on the ISA concerns no real call.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wpsabi"
-#endif
-
-#if defined(__GNUC__)
-/// kLaneChunk adjacent lanes of one array, computed on as one: kLaneChunk
-/// / W vectors of W doubles, W the width of the vector registers of the
-/// ISA clone that runs them (mc_schweitzer_level).  Each operation applies
-/// the same IEEE operation to every lane, so a lane rounds alike at every
-/// width, and alike in a one-lane block, whose pack is a plain double.
-template <std::size_t W>
-struct LanePack {
-  typedef double Vec __attribute__((vector_size(W * sizeof(double))));
-  static constexpr std::size_t kVecs = kLaneChunk / W;
-  Vec v[kVecs];
-};
-
-// a OP b vector by vector, for OP one of + - * / (and double + pack).
-#define MTPERF_PACK_OP(OP, A, AT, B, BT)                           \
-  template <std::size_t W>                                        \
-  MTPERF_INLINE LanePack<W> operator OP(AT a, BT b) {             \
-    LanePack<W> r;                                                \
-    for (std::size_t i = 0; i < LanePack<W>::kVecs; ++i) {        \
-      r.v[i] = A OP B;                                            \
-    }                                                             \
-    return r;                                                     \
-  }
-MTPERF_PACK_OP(+, a.v[i], const LanePack<W>&, b.v[i], const LanePack<W>&)
-MTPERF_PACK_OP(-, a.v[i], const LanePack<W>&, b.v[i], const LanePack<W>&)
-MTPERF_PACK_OP(*, a.v[i], const LanePack<W>&, b.v[i], const LanePack<W>&)
-MTPERF_PACK_OP(/, a.v[i], const LanePack<W>&, b.v[i], const LanePack<W>&)
-MTPERF_PACK_OP(+, a, double, b.v[i], const LanePack<W>&)
-#undef MTPERF_PACK_OP
-
-/// std::fabs per lane (clears the sign bits); per lane a if a > b, else b;
-/// true when a < b in any lane.
-template <std::size_t W>
-MTPERF_INLINE LanePack<W> abs_pack(const LanePack<W>& a) {
-  using Vec = typename LanePack<W>::Vec;
-  using Bits = decltype(Vec{} < Vec{});
-  LanePack<W> r;
-  for (std::size_t i = 0; i < LanePack<W>::kVecs; ++i) {
-    r.v[i] = reinterpret_cast<Vec>(reinterpret_cast<Bits>(a.v[i]) &
-                                   ~reinterpret_cast<Bits>(-Vec{}));
-  }
-  return r;
-}
-
-template <std::size_t W>
-MTPERF_INLINE LanePack<W> max_pack(const LanePack<W>& a,
-                                   const LanePack<W>& b) {
-  LanePack<W> r;
-  for (std::size_t i = 0; i < LanePack<W>::kVecs; ++i) {
-    r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-  }
-  return r;
-}
-
-template <std::size_t W>
-MTPERF_INLINE bool any_below(const LanePack<W>& a, const LanePack<W>& b) {
-  auto below = a.v[0] < b.v[0];
-  for (std::size_t i = 1; i < LanePack<W>::kVecs; ++i) below |= a.v[i] < b.v[i];
-  bool any = false;
-  for (std::size_t i = 0; i < W; ++i) any = any || below[i] != 0;
-  return any;
-}
-#endif
-
-MTPERF_INLINE double abs_pack(double a) { return std::fabs(a); }
-MTPERF_INLINE double max_pack(double a, double b) { return a > b ? a : b; }
-MTPERF_INLINE bool any_below(double a, double b) { return a < b; }
-
-/// Lanes a pack of type P holds.
-template <typename P>
-inline constexpr std::size_t kPackLanes =
-    std::is_same_v<P, double> ? 1 : kLaneChunk;
-
-/// The pack at p.  Lane arrays are only 16-byte aligned, so vectors are
-/// copied in and out one at a time (a whole-pack copy would keep the pack
-/// in memory).
-template <typename P>
-MTPERF_INLINE P load_pack(const double* p) {
-  if constexpr (std::is_same_v<P, double>) {
-    return *p;
-  } else {
-    P r;
-    for (std::size_t i = 0; i < P::kVecs; ++i) {
-      std::memcpy(&r.v[i], p + i * (kLaneChunk / P::kVecs), sizeof(r.v[i]));
-    }
-    return r;
-  }
-}
-
-template <typename P>
-MTPERF_INLINE void store_pack(double* p, const P& a) {
-  if constexpr (std::is_same_v<P, double>) {
-    *p = a;
-  } else {
-    for (std::size_t i = 0; i < P::kVecs; ++i) {
-      std::memcpy(p + i * (kLaneChunk / P::kVecs), &a.v[i], sizeof(a.v[i]));
-    }
-  }
-}
 
 /// One class's residence sweep over the lanes of pack P from lo, stations
 /// ascending, returning the class's total residence.  At a queueing

@@ -27,7 +27,7 @@ PiecewiseCubic::PiecewiseCubic(std::vector<double> knots, std::vector<double> a,
 double PiecewiseCubic::eval(std::size_t seg, double t, int order) const {
   switch (order) {
     case 0:
-      return a_[seg] + t * (b_[seg] + t * (c_[seg] + t * d_[seg]));
+      return piece(a_[seg], b_[seg], c_[seg], d_[seg], t);
     case 1:
       return b_[seg] + t * (2.0 * c_[seg] + t * 3.0 * d_[seg]);
     case 2:

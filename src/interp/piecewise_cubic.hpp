@@ -4,6 +4,7 @@
 //   S_i(x) = a_i + b_i t + c_i t^2 + d_i t^3,   t = x - x_i.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,25 @@ class PiecewiseCubic final : public Interpolator1D {
 
   const std::vector<double>& knots() const noexcept { return knots_; }
   Extrapolation extrapolation() const noexcept { return extrapolation_; }
+
+  /// One polynomial piece: S(x) = piece(a, b, c, d, x - knot).
+  struct Segment {
+    double knot, a, b, c, d;
+  };
+  /// Number of pieces: knots - 1, or 1 for a single-knot constant.
+  std::size_t segments() const noexcept { return a_.size(); }
+  /// Piece i (i < segments()): its left knot and coefficients.  Tabulation
+  /// (core::DemandGrid) walks a run of abscissae within one piece with
+  /// these held in registers instead of calling value_with_cursor per x.
+  Segment segment(std::size_t i) const noexcept {
+    return {knots_[i], a_[i], b_[i], c_[i], d_[i]};
+  }
+  /// The piece polynomial at local offset t — the one definition every
+  /// value this class or a tabulation of it returns goes through, so all
+  /// of them round alike.
+  static double piece(double a, double b, double c, double d, double t) {
+    return a + t * (b + t * (c + t * d));
+  }
 
   /// Evaluation with a caller-owned segment cursor.  For non-decreasing
   /// query sequences (the MVA recursion's concurrency or throughput axis)
