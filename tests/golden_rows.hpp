@@ -99,6 +99,32 @@ inline void expect_rows(const core::MvaResult& r,
   }
 }
 
+/// Compare a single-class utilization-only result (StationRows::
+/// kUtilization) at populations `levels` against the literals expect_rows
+/// takes for the same solve with every row: X, R, Z and every station's U,
+/// bit for bit (the literals' Q and residence entries have no counterpart).
+inline void expect_lean_rows(const core::MvaResult& r,
+                             const std::vector<unsigned>& levels,
+                             const std::vector<std::vector<double>>& golden) {
+  ASSERT_EQ(r.station_rows, core::StationRows::kUtilization);
+  ASSERT_EQ(r.classes(), 0u);
+  ASSERT_EQ(golden.size(), levels.size());
+  const std::size_t k_count = r.stations();
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    SCOPED_TRACE("population " + std::to_string(levels[l]));
+    const std::size_t row = r.row_for(levels[l]);
+    ASSERT_EQ(golden[l].size(), 3 + 3 * k_count);
+    EXPECT_EQ(r.throughput[row], golden[l][0]) << "X";
+    EXPECT_EQ(r.response_time[row], golden[l][1]) << "R";
+    EXPECT_EQ(r.cycle_time[row], golden[l][2]) << "Z";
+    for (std::size_t k = 0; k < k_count; ++k) {
+      const std::size_t i = 3 + k_count + k;
+      EXPECT_EQ(r.utilization(row, k), golden[l][i])
+          << field_name(i, k_count, 0);
+    }
+  }
+}
+
 /// Compare a marginal trace (rows[n-1][j] = P(j | n)) at populations
 /// `levels` against `golden` (one P(0..C-1) list per level), bit for bit.
 inline void expect_trace_rows(const std::vector<std::vector<double>>& rows,
