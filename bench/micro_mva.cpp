@@ -24,7 +24,6 @@
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
 #include "core/demand_model.hpp"
-#include "core/detail/mva_exact.hpp"
 #include "core/detail/mva_schweitzer.hpp"
 #include "core/network.hpp"
 #include "core/solve.hpp"
@@ -197,9 +196,10 @@ void BM_ExactMva(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
   const auto net = make_net(k, 1);
-  const auto demands = make_demands(k);
+  const auto model = core::DemandModel::constant(make_demands(k));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::detail::exact_mva(net, demands, n));
+    benchmark::DoNotOptimize(
+        core::solve(net, model, {core::SolverKind::kExactSingleServer, n}));
   }
   state.SetComplexityN(state.range(0));
 }

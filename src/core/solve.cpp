@@ -1,6 +1,7 @@
 #include "core/solve.hpp"
 
 #include <cstddef>
+#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -10,11 +11,11 @@
 #include "core/detail/multiclass_batch_engine.hpp"
 #include "core/detail/multiclass_engine.hpp"
 #include "core/detail/mva_approx_multiserver.hpp"
-#include "core/detail/mva_exact.hpp"
 #include "core/detail/mva_schweitzer.hpp"
-#include "core/detail/mva_seidmann.hpp"
-#include "core/detail/mvasd_single_server.hpp"
+#include "core/seidmann.hpp"
 #include "core/sweep.hpp"
+#include "interp/interpolator.hpp"
+#include "interp/piecewise_cubic.hpp"
 
 namespace mtperf::core {
 
@@ -39,13 +40,92 @@ constexpr KindName kKindNames[] = {
     {SolverKind::kHierarchical, "hierarchical"},
 };
 
-/// Constant demands as the span the fixed-demand kernels take.
-std::vector<double> constant_demands(const DemandModel& demands,
-                                     SolverKind kind) {
+void require_constant(const DemandModel& demands, SolverKind kind) {
   MTPERF_REQUIRE(demands.is_constant(),
                  std::string("solver '") + solver_kind_name(kind) +
                      "' requires constant demands (DemandModel::constant)");
+}
+
+/// Constant demands as the span the fixed-point kernels take.
+std::vector<double> constant_demands(const DemandModel& demands,
+                                     SolverKind kind) {
+  require_constant(demands, kind);
   return demands.all_at(1.0);
+}
+
+/// One lane of the lane kernel: the exact single-class recursion.
+MvaResult solve_lane(const ClosedNetwork& network, const DemandModel& demands,
+                     unsigned max_population, StationRows rows) {
+  std::vector<detail::BatchLane> lane(1);
+  lane[0].network = &network;
+  lane[0].demands = &demands;
+  lane[0].max_population = max_population;
+  lane[0].rows = rows;
+  return std::move(detail::solve_lane_block(lane)[0]);
+}
+
+/// `network` with every station single-server.  The single-server kinds
+/// run the lane kernel on this copy: the kernel gives a C-server queue
+/// marginals and divides every station's utilization by C, delay stations'
+/// included, while the single-server recursion ignores server counts.
+ClosedNetwork single_server(const ClosedNetwork& network) {
+  std::vector<Station> stations = network.stations();
+  for (Station& st : stations) st.servers = 1;
+  return ClosedNetwork(std::move(stations), network.think_time());
+}
+
+/// f(x) / C: one station's demand curve, per server.  A cubic curve is
+/// read through a segment cursor (bit-identical to value(), amortized O(1)
+/// on the rising axis values a solve asks for), so the model must serve
+/// one solve on one thread.
+class PerServerCurve final : public interp::Interpolator1D {
+ public:
+  PerServerCurve(std::shared_ptr<const interp::Interpolator1D> curve,
+                 double servers)
+      : curve_(std::move(curve)),
+        cubic_(dynamic_cast<const interp::PiecewiseCubic*>(curve_.get())),
+        servers_(servers) {}
+
+  double value(double x) const override {
+    return (cubic_ != nullptr ? cubic_->value_with_cursor(x, cursor_)
+                              : curve_->value(x)) /
+           servers_;
+  }
+  double derivative(double x, int order) const override {
+    return curve_->derivative(x, order) / servers_;
+  }
+  std::string name() const override { return curve_->name() + " per server"; }
+  double x_min() const override { return curve_->x_min(); }
+  double x_max() const override { return curve_->x_max(); }
+
+ private:
+  std::shared_ptr<const interp::Interpolator1D> curve_;
+  const interp::PiecewiseCubic* cubic_;
+  double servers_;
+  mutable std::size_t cursor_ = 0;
+};
+
+/// The Fig. 8 baseline's demands: station k reads f_k(x) / C_k.  Constant
+/// models divide their values up front.  Curves are wrapped, so
+/// DemandModel::at clamps max(0, f / C), which equals max(0, f) / C bit for
+/// bit since C >= 1: negative, -0 and NaN values all end at +0.
+DemandModel per_server_demands(const ClosedNetwork& network,
+                               const DemandModel& demands) {
+  const auto servers = [&](std::size_t k) {
+    return static_cast<double>(network.station(k).servers);
+  };
+  if (demands.is_constant()) {
+    std::vector<double> values = demands.all_at(1.0);
+    for (std::size_t k = 0; k < values.size(); ++k) values[k] /= servers(k);
+    return DemandModel::constant(std::move(values));
+  }
+  std::vector<std::shared_ptr<const interp::Interpolator1D>> curves;
+  curves.reserve(demands.stations());
+  for (std::size_t k = 0; k < demands.stations(); ++k) {
+    curves.push_back(std::make_shared<PerServerCurve>(
+        demands.shared_interpolant(k), servers(k)));
+  }
+  return DemandModel::interpolated(std::move(curves), demands.axis());
 }
 
 }  // namespace
@@ -130,34 +210,36 @@ MvaResult solve(const ClosedNetwork& network, const DemandModel* demands,
   const StationRows rows = options.station_rows;
   switch (options.solver) {
     case SolverKind::kExactSingleServer:
-      return detail::exact_mva(
-          network, constant_demands(*demands, options.solver), n, rows);
+      // Algorithm 1: the exact recursion with every station single-server.
+      require_constant(*demands, options.solver);
+      return solve_lane(single_server(network), *demands, n, rows);
     case SolverKind::kSchweitzer:
       return detail::schweitzer_mva(
           network, constant_demands(*demands, options.solver), n,
           options.schweitzer, rows);
     case SolverKind::kApproxMultiserver:
       return detail::approx_mvasd(network, *demands, n, options.approx, rows);
-    case SolverKind::kMvasd: {
+    case SolverKind::kMvasd:
       // Algorithm 3; with a constant model this is exactly Algorithm 2
-      // (the same recursion over one demand row).  One lane of the lockstep
-      // kernel.
-      std::vector<detail::BatchLane> lane(1);
-      lane[0].network = &network;
-      lane[0].demands = demands;
-      lane[0].max_population = n;
-      lane[0].rows = rows;
-      return std::move(detail::solve_lane_block(lane)[0]);
-    }
+      // (the same recursion over one demand row).
+      return solve_lane(network, *demands, n, rows);
     case SolverKind::kMvasdSingleServer:
-      return detail::mvasd_single_server(network, *demands, n, rows);
+      // Fig. 8: every C-server station becomes one server with demand f/C.
+      return solve_lane(single_server(network),
+                        per_server_demands(network, *demands), n, rows);
     case SolverKind::kSeidmann:
-      return detail::seidmann_mva(
-          network, constant_demands(*demands, options.solver), n, rows);
-    case SolverKind::kSeidmannSchweitzer:
-      return detail::seidmann_schweitzer_mva(
-          network, constant_demands(*demands, options.solver), n,
-          options.schweitzer, rows);
+    case SolverKind::kSeidmannSchweitzer: {
+      // Each C-server queue becomes a single-server queue plus a delay leg
+      // (core/seidmann.hpp), solved exactly or by Schweitzer's fixed point.
+      const SeidmannTransform t = seidmann_transform(
+          network, constant_demands(*demands, options.solver));
+      if (options.solver == SolverKind::kSeidmannSchweitzer) {
+        return detail::schweitzer_mva(t.network, t.service_times, n,
+                                      options.schweitzer, rows);
+      }
+      return solve_lane(single_server(t.network),
+                        DemandModel::constant(t.service_times), n, rows);
+    }
     case SolverKind::kHierarchical:
       // Direct profile extraction; the scenario engine passes its own
       // evaluator so subnetwork profiles go through the fingerprint cache.

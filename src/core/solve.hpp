@@ -6,8 +6,8 @@
 //
 //   MvaResult r = solve(network, &demands, {SolverKind::kMvasd, 1500});
 //
-// solve() validates the request and dispatches to the per-solver kernel in
-// core/detail (one kernel per SolverKind); solve_batch() and
+// solve() validates the request and dispatches to a kernel in core/detail
+// (kinds that run one recursion share its kernel); solve_batch() and
 // run_scenarios() (core/sweep.hpp) evaluate many specs at once, and the
 // *_scenario builders (core/prediction.hpp) turn a measurement campaign
 // into a spec.
@@ -31,12 +31,12 @@ struct ScenarioSpec;  // core/sweep.hpp
 
 /// Which member of the MVA family evaluates the scenario.
 enum class SolverKind {
-  kExactSingleServer,   ///< Algorithm 1 — constant demands
+  kExactSingleServer,   ///< Algorithm 1: exact, servers ignored — constant
   kSchweitzer,          ///< Eq. 9 fixed point — constant demands
   kApproxMultiserver,   ///< Schweitzer + M/M/C correction — any demands
   kMvasd,               ///< Algorithms 2 and 3 — any demands
-  kMvasdSingleServer,   ///< Fig. 8 baseline: demands / C_k — any demands
-  kSeidmann,            ///< Seidmann transform + exact recursion — constant
+  kMvasdSingleServer,   ///< Fig. 8 baseline: exact, demands / C_k — any
+  kSeidmann,            ///< Seidmann transform + Algorithm 1 — constant
   kSeidmannSchweitzer,  ///< Seidmann transform + Schweitzer — constant
   kExactMulticlass,     ///< exact population-vector recursion — small mixes
   kMomMulticlass,       ///< RECAL moment recursion — exact, large mixes
@@ -160,7 +160,11 @@ void finalize_multiclass_options(SolveOptions& options);
 /// kMvasdSingleServer accept any model (Algorithm 3 *is* Algorithm 2 with
 /// demand arrays).  kMvasd runs the lane kernel's one-lane path
 /// (core/detail/batch_engine.hpp), the same recursion solve_batch runs in
-/// wider blocks.
+/// wider blocks.  kExactSingleServer, kSeidmann and kMvasdSingleServer run
+/// that one-lane path too, on a copy of their network with every station
+/// single-server: kSeidmann after the Seidmann transform (core/seidmann.hpp),
+/// kMvasdSingleServer with station k's demand read as f_k / C_k.
+/// kSeidmannSchweitzer runs the transform and kSchweitzer's fixed point.
 /// All validation failures throw mtperf::invalid_argument_error.
 ///
 /// Multiclass kinds read options.classes instead of `demands` (which may

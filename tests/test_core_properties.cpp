@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "convolution_oracle.hpp"
 #include "core/demand_model.hpp"
-#include "core/detail/mva_exact.hpp"
 #include "core/detail/mva_schweitzer.hpp"
 #include "core/mva_multiclass.hpp"
 #include "core/network.hpp"
@@ -22,7 +21,6 @@
 namespace mtperf::core {
 namespace {
 
-using detail::exact_mva;
 using detail::schweitzer_mva;
 
 /// Algorithm 2: the mvasd kind over constant demands.
@@ -135,11 +133,12 @@ TEST_P(RandomNetworks, SchweitzerTracksExactOnSingleServerNetworks) {
   std::vector<Station> stations = c.network.stations();
   for (auto& st : stations) st.servers = 1;
   const ClosedNetwork net(std::move(stations), c.network.think_time());
-  const auto exact = exact_mva(net, c.demands, c.max_population);
+  const auto exact =
+      oracle::solve(net, c.demands, c.max_population, /*with_queues=*/false);
   const auto approx = schweitzer_mva(net, c.demands, c.max_population);
   for (unsigned n :
        {1u, c.max_population / 2 + 1, c.max_population}) {
-    const double e = exact.throughput[exact.row_for(n)];
+    const double e = exact.throughput[n - 1];
     const double a = approx.throughput[approx.row_for(n)];
     EXPECT_NEAR(a, e, 0.08 * e) << "n=" << n;
   }
@@ -153,7 +152,8 @@ TEST_P(RandomNetworks, AsymptoticBoundsContainExactSolution) {
   std::vector<Station> stations = c.network.stations();
   for (auto& st : stations) st.servers = 1;
   const ClosedNetwork net(std::move(stations), c.network.think_time());
-  const auto r = exact_mva(net, c.demands, c.max_population);
+  const auto r = solve(net, DemandModel::constant(c.demands),
+                       {SolverKind::kExactSingleServer, c.max_population});
   std::vector<double> queueing_demands;
   double z = c.network.think_time();
   for (std::size_t k = 0; k < net.size(); ++k) {

@@ -14,10 +14,10 @@
 #include "apps/vins.hpp"
 #include "common/error.hpp"
 #include "core/detail/batch_engine.hpp"
-#include "core/detail/mvasd_single_server.hpp"
 #include "core/prediction.hpp"
 #include "core/solve.hpp"
 #include "interp/cubic_spline.hpp"
+#include "interp/interpolator.hpp"
 #include "service/engine.hpp"
 #include "service/fingerprint.hpp"
 #include "service/json.hpp"
@@ -707,12 +707,41 @@ TEST_F(FacadeParity, JPetStoreMvasdMatchesLegacy) {
   expect_identical(via_facade, legacy, kTol);
 }
 
+/// f(x) / C: a demand curve per server.
+class PerServerCurve final : public interp::Interpolator1D {
+ public:
+  PerServerCurve(std::shared_ptr<const interp::Interpolator1D> curve,
+                 double servers)
+      : curve_(std::move(curve)), servers_(servers) {}
+  double value(double x) const override { return curve_->value(x) / servers_; }
+  double derivative(double x, int order) const override {
+    return curve_->derivative(x, order) / servers_;
+  }
+  std::string name() const override { return curve_->name(); }
+  double x_min() const override { return curve_->x_min(); }
+  double x_max() const override { return curve_->x_max(); }
+
+ private:
+  std::shared_ptr<const interp::Interpolator1D> curve_;
+  double servers_;
+};
+
 TEST_F(FacadeParity, JPetStoreSingleServerMatchesLegacy) {
+  // The Fig. 8 baseline's kernel: one lane on the network made
+  // single-server, each station's demand curve divided by its server count.
   const auto spec =
       core::mvasd_single_server_scenario("SS", jps_->table, kThink, 280);
   const auto via_facade = core::solve(spec.network, spec.demands, spec.options);
+  std::vector<core::Station> stations = spec.network.stations();
+  std::vector<std::shared_ptr<const interp::Interpolator1D>> curves;
+  for (std::size_t k = 0; k < stations.size(); ++k) {
+    curves.push_back(std::make_shared<PerServerCurve>(
+        spec.demands.shared_interpolant(k), stations[k].servers));
+    stations[k].servers = 1;
+  }
   const auto legacy =
-      core::detail::mvasd_single_server(spec.network, spec.demands, 280);
+      lane_solve(core::ClosedNetwork(std::move(stations), kThink),
+                 DemandModel::interpolated(std::move(curves)), 280);
   expect_identical(via_facade, legacy, kTol);
 }
 
