@@ -10,7 +10,7 @@
 namespace mtperf::service {
 
 /// One accepted client.  The reader thread owns the receive side; result
-/// writes come from batcher threads, so the send side is serialized by
+/// writes come from the batcher thread, so the send side is serialized by
 /// write_mutex.  in_flight counts requests admitted to the pipeline but
 /// not yet answered — the per-connection admission cap.
 struct Server::Connection {
@@ -50,11 +50,7 @@ void Server::start() {
   // dropped connection, not the process.
   ignore_sigpipe();
   listener_ = ListenSocket::listen_tcp(options_.port);
-  const std::size_t batchers = std::max<std::size_t>(1, options_.batchers);
-  batcher_threads_.reserve(batchers);
-  for (std::size_t i = 0; i < batchers; ++i) {
-    batcher_threads_.emplace_back([this] { batcher_loop(); });
-  }
+  batcher_thread_ = std::thread([this] { batcher_loop(); });
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -75,14 +71,12 @@ void Server::stop() {
   shutdown_cv_.notify_all();
 
   // Stop taking new connections, then new requests; drain what was
-  // admitted (batchers answer every queued Pending before exiting); only
+  // admitted (the batcher answers every queued Pending before exiting); only
   // then tear down the connections the drain was writing to.
   listener_.shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
   queue_->close();
-  for (std::thread& t : batcher_threads_) {
-    if (t.joinable()) t.join();
-  }
+  if (batcher_thread_.joinable()) batcher_thread_.join();
   {
     std::lock_guard<std::mutex> lock(readers_mutex_);
     for (const auto& conn : connections_) conn->sock.shutdown();

@@ -55,8 +55,6 @@ struct ServerOptions {
   std::size_t queue_capacity = 1024;
   /// Per-connection in-flight cap (accepted but unanswered requests).
   std::size_t max_inflight_per_conn = 256;
-  /// Concurrent micro-batcher threads draining the queue.
-  std::size_t batchers = 1;
   EngineOptions engine;
 };
 
@@ -120,7 +118,7 @@ class Server final {
   ListenSocket listener_;
 
   std::thread accept_thread_;
-  std::vector<std::thread> batcher_threads_;
+  std::thread batcher_thread_;
   std::mutex readers_mutex_;
   std::vector<std::thread> reader_threads_;
   std::vector<std::shared_ptr<Connection>> connections_;

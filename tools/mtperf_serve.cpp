@@ -230,16 +230,13 @@ int main(int argc, char** argv) {
       parse_flag(arg, value(), options.queue_capacity);
     } else if (arg == "--max-inflight") {
       parse_flag(arg, value(), options.max_inflight_per_conn);
-    } else if (arg == "--batchers") {
-      parse_flag(arg, value(), options.batchers);
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(
           stderr,
           "usage: mtperf_serve [--stdio] [--threads N] [--cache-capacity N]"
           " [--shards N] < requests.jsonl\n"
           "       mtperf_serve --port P [--batch-size N]"
-          " [--batch-deadline-us U] [--queue-capacity N] [--max-inflight N]"
-          " [--batchers N]\n"
+          " [--batch-deadline-us U] [--queue-capacity N] [--max-inflight N]\n"
           "One JSON request per line — flat scenarios (single-class"
           " \"demands\" or a multiclass \"classes\" array) or {\"cmd\":"
           "\"workmodel\"} service graphs; see service/request.hpp and"
