@@ -1,6 +1,6 @@
-// Reusable per-thread scratch buffers for the MVA solver family.
+// Reusable per-thread scratch buffers for schweitzer_mva and approx_mvasd.
 //
-// Every solver iteration needs the same small set of per-station arrays
+// Every fixed-point iteration needs the same small set of per-station arrays
 // (queues, residence times, current demands).  Allocating these per solve
 // dominates the cost of small networks and fragments the heap in scenario
 // sweeps.  The workspace hoists them into one thread_local
